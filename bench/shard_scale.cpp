@@ -66,7 +66,7 @@ struct mode_result {
   u64 total_records = 0;
   u64 chunks = 0;
   u64 steals = 0;
-  u64 reassigns = 0;
+  u64 migrations = 0;
   std::vector<ot_record> records;
   std::vector<streamed_outcome::shard_device_stats> devices;
 };
@@ -83,7 +83,7 @@ mode_result run_mode(const search_config& cfg, const std::string& fasta,
     r.total_records = out.total_records;
     r.chunks = out.metrics.chunks;
     r.steals = out.shard_steals;
-    r.reassigns = out.shard_reassigns;
+    r.migrations = out.shard_migrations;
     r.records = std::move(out.records);
     r.devices = std::move(out.device_shards);
   }
@@ -160,12 +160,12 @@ int main(int argc, char** argv) {
     identical = identical && runs[i].records == runs[0].records;
     std::printf(
         "devices=%zu : %10llu ns  %12.0f bases/s  chunks %llu  steals %llu  "
-        "reassigns %llu\n",
+        "migrations %llu\n",
         device_counts[i], static_cast<unsigned long long>(runs[i].best_nanos),
         bps(runs[i].best_nanos),
         static_cast<unsigned long long>(runs[i].chunks),
         static_cast<unsigned long long>(runs[i].steals),
-        static_cast<unsigned long long>(runs[i].reassigns));
+        static_cast<unsigned long long>(runs[i].migrations));
     for (const auto& ds : runs[i].devices) {
       std::printf("    %-6s chunks %-4llu steals %-3llu device %.3fs  "
                   "format %.3fs\n",
@@ -244,14 +244,14 @@ int main(int argc, char** argv) {
                  "    {\"mode\": \"devices=%zu\", \"num_devices\": %zu, "
                  "\"best_nanos\": %llu, \"bases_per_s\": %.0f, "
                  "\"records\": %llu, \"chunks\": %llu, \"steals\": %llu, "
-                 "\"reassigns\": %llu, \"devices\": [",
+                 "\"migrations\": %llu, \"devices\": [",
                  device_counts[i], device_counts[i],
                  static_cast<unsigned long long>(runs[i].best_nanos),
                  bps(runs[i].best_nanos),
                  static_cast<unsigned long long>(runs[i].total_records),
                  static_cast<unsigned long long>(runs[i].chunks),
                  static_cast<unsigned long long>(runs[i].steals),
-                 static_cast<unsigned long long>(runs[i].reassigns));
+                 static_cast<unsigned long long>(runs[i].migrations));
     for (usize d = 0; d < runs[i].devices.size(); ++d) {
       const auto& dv = runs[i].devices[d];
       std::fprintf(f,

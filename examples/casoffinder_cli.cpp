@@ -423,9 +423,9 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(ds.steals),
                      ds.failed ? "  [FAILED — degraded to survivors]" : "");
       }
-      if (streamed.shard_reassigns != 0) {
-        std::fprintf(stderr, "  %llu chunk reassignments off dead devices\n",
-                     static_cast<unsigned long long>(streamed.shard_reassigns));
+      if (streamed.shard_migrations != 0) {
+        std::fprintf(stderr, "  %llu consumer migrations off dead devices\n",
+                     static_cast<unsigned long long>(streamed.shard_migrations));
       }
     }
     genome::genome_t names_only;

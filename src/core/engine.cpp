@@ -25,6 +25,31 @@ const char* backend_name(backend_kind k) {
   return "?";
 }
 
+std::unique_ptr<device_pipeline> make_pipeline(const engine_options& opt,
+                                               usize max_entries) {
+  pipeline_options popt;
+  popt.variant = opt.variant;
+  popt.wg_size = opt.wg_size;
+  popt.counting = opt.counting;
+  popt.profiler = opt.profiler;
+  popt.max_entries = max_entries;
+  switch (opt.backend) {
+    case backend_kind::opencl: return make_opencl_pipeline(popt);
+    case backend_kind::sycl_usm: return make_sycl_usm_pipeline(popt);
+    case backend_kind::sycl_twobit: return make_sycl_twobit_pipeline(popt);
+    default: return make_sycl_pipeline(popt);
+  }
+}
+
+void write_run_obs(const engine_options& opt) {
+  if (!obs::enabled()) return;
+  if (opt.profiler != nullptr) obs::fold_profiler(*opt.profiler);
+  if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
+  if (!opt.metrics_json.empty()) {
+    obs::metrics_registry::global().write_json(opt.metrics_json);
+  }
+}
+
 genome::genome_t load_configured_genome(const search_config& cfg) {
   if (auto synth = genome::load_synth_uri(cfg.genome_path)) return std::move(*synth);
   return genome::load_genome(cfg.genome_path);
@@ -71,13 +96,7 @@ search_outcome run_search(const search_config& cfg, const genome::genome_t& g,
     index_query_session session(*idx, opt);
     out = session.query(cfg.queries);
     out.metrics.elapsed_seconds = sw.seconds();
-    if (obs::enabled()) {
-      if (opt.profiler != nullptr) obs::fold_profiler(*opt.profiler);
-      if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-      if (!opt.metrics_json.empty()) {
-        obs::metrics_registry::global().write_json(opt.metrics_json);
-      }
-    }
+    write_run_obs(opt);
     return out;
   }
 
@@ -86,21 +105,6 @@ search_outcome run_search(const search_config& cfg, const genome::genome_t& g,
     out.metrics.elapsed_seconds = sw.seconds();
     return out;
   }
-
-  pipeline_options popt;
-  popt.variant = opt.variant;
-  popt.wg_size = opt.wg_size;
-  popt.counting = opt.counting;
-  popt.profiler = opt.profiler;
-  popt.max_entries = opt.max_entries;
-  auto make_pipe = [&]() -> std::unique_ptr<device_pipeline> {
-    switch (opt.backend) {
-      case backend_kind::opencl: return make_opencl_pipeline(popt);
-      case backend_kind::sycl_usm: return make_sycl_usm_pipeline(popt);
-      case backend_kind::sycl_twobit: return make_sycl_twobit_pipeline(popt);
-      default: return make_sycl_pipeline(popt);
-    }
-  };
 
   const device_pattern pat = make_pattern(cfg.pattern);
   std::vector<device_pattern> dev_queries;
@@ -120,7 +124,7 @@ search_outcome run_search(const search_config& cfg, const genome::genome_t& g,
   std::atomic<usize> next_chunk{0};
   std::mutex merge_mu;
   auto worker = [&] {
-    auto pipe = make_pipe();
+    auto pipe = make_pipeline(opt, opt.max_entries);
     std::vector<ot_record> local_records;
     for (;;) {
       const usize ci = next_chunk.fetch_add(1);
@@ -155,15 +159,8 @@ search_outcome run_search(const search_config& cfg, const genome::genome_t& g,
     std::lock_guard lock(merge_mu);
     out.records.insert(out.records.end(), local_records.begin(),
                        local_records.end());
-    const auto& pm = pipe->metrics();
-    out.metrics.per_queue.push_back(pm);
-    out.metrics.pipeline.kernel_nanos += pm.kernel_nanos;
-    out.metrics.pipeline.finder_launches += pm.finder_launches;
-    out.metrics.pipeline.comparer_launches += pm.comparer_launches;
-    out.metrics.pipeline.h2d_bytes += pm.h2d_bytes;
-    out.metrics.pipeline.d2h_bytes += pm.d2h_bytes;
-    out.metrics.pipeline.total_loci += pm.total_loci;
-    out.metrics.pipeline.total_entries += pm.total_entries;
+    out.metrics.per_queue.push_back(pipe->metrics());
+    out.metrics.pipeline += pipe->metrics();
   };
 
   // Device/entry-capacity failures surface as exceptions here; the batch
@@ -197,13 +194,7 @@ search_outcome run_search(const search_config& cfg, const genome::genome_t& g,
   sort_and_dedup(out.records);
 
   out.metrics.elapsed_seconds = sw.seconds();
-  if (obs::enabled()) {
-    if (opt.profiler != nullptr) obs::fold_profiler(*opt.profiler);
-    if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-    if (!opt.metrics_json.empty()) {
-      obs::metrics_registry::global().write_json(opt.metrics_json);
-    }
-  }
+  write_run_obs(opt);
   return out;
 }
 

@@ -38,21 +38,14 @@ struct engine_options {
   /// Supported by the buffer-based SYCL pipeline; other backends fall back
   /// to per-query launches.
   bool batch_queries = false;
-  /// Streaming mode (run_search_streaming) only: drive the two-deep async
-  /// pipeline — decode of chunk N+1 overlaps the device phase of chunk N,
-  /// every chunk's queries go through ONE batched comparer launch with a
-  /// deferred entry download, and record formatting runs on the shared
-  /// thread pool. false preserves the synchronous per-query loop (the PR 1
-  /// behaviour, kept as the bench baseline). Results are identical.
-  bool stream_async = true;
   /// Host threads, each driving its own pipeline over a shared chunk queue
   /// — the multi-device extension the paper marks as future work ("the SYCL
   /// application currently executes on a single GPU device"). Results are
   /// identical for any value (canonical order + dedup). 0/1 = single queue.
-  /// Applies to run_search and run_search_streaming (async path).
+  /// Applies to run_search and run_search_streaming.
   /// With num_devices > 1 this is the consumer count PER DEVICE.
   usize num_queues = 1;
-  /// Streaming (async) and warm index paths: shard chunks across this many
+  /// Streaming and warm index paths: shard chunks across this many
   /// simulated xpu devices (core/shard.hpp device_set), each with its own
   /// pipelines and spill runs; the k-way merge keeps records byte-identical
   /// for any device count. 0/1 = the single global simulator device.
@@ -68,14 +61,14 @@ struct engine_options {
   /// trace-event JSON (Perfetto / chrome://tracing loadable) of the run's
   /// spans and counter tracks to this path. Empty (default): tracing stays
   /// off and every probe is a single relaxed atomic load.
-  std::string trace_out;
+  std::string trace_out{};
   /// Non-empty: enable the obs subsystem and write the metrics-registry
   /// snapshot (counters / gauges / latency histograms) as JSON to this path.
-  std::string metrics_json;
+  std::string metrics_json{};
   /// Fault-injection plan for this run ("site=mode[,site=mode...]"; see
   /// fault/fault.hpp). Applied on top of the COF_FAULT environment variable.
   /// Empty (default): nothing armed beyond COF_FAULT.
-  std::string faults;
+  std::string faults{};
   /// Streaming only: when a chunk overflows its max_entries-capped device
   /// allocation, retry it with a geometrically grown capacity (bounded by
   /// the worst case) or split it in half instead of dying. false restores
@@ -105,7 +98,7 @@ struct engine_options {
   /// .cofidx file at this path if it exists (cache hit), otherwise build the
   /// index from the input genome and persist it here (cache miss), then
   /// answer the queries against it.
-  std::string index_path;
+  std::string index_path{};
 };
 
 /// Overflow/fault recovery accounting for one streaming run.
@@ -132,6 +125,15 @@ struct search_outcome {
   std::vector<ot_record> records;
   run_metrics metrics;
 };
+
+/// The one backend->pipeline factory every engine loop builds through, with
+/// the given per-chunk entry cap (see pipeline_options::max_entries).
+std::unique_ptr<device_pipeline> make_pipeline(const engine_options& opt,
+                                               usize max_entries);
+
+/// End-of-run obs epilogue of every entry point: folds the profiler, writes
+/// the trace and the metrics snapshot opt asks for (no-op with obs off).
+void write_run_obs(const engine_options& opt);
 
 /// Resolve cfg.genome_path: "synth:..." URI or filesystem path.
 genome::genome_t load_configured_genome(const search_config& cfg);

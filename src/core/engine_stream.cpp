@@ -12,7 +12,7 @@
 #include <unistd.h>
 
 #include "core/index.hpp"
-#include "core/shard.hpp"
+#include "core/recovery.hpp"
 #include "fault/fault.hpp"
 #include "genome/fasta.hpp"
 #include "genome/fasta_stream.hpp"
@@ -28,8 +28,8 @@ namespace cof {
 namespace {
 
 // ---------------------------------------------------------------------------
-// chunk_source: pull-based FASTA decode. Reproduces the synchronous loop's
-// chunking exactly — one chrom event per record (even empty ones), chunks of
+// chunk_source: pull-based FASTA decode. Reproduces the in-memory chunker
+// (genome::make_chunks) exactly — one chrom event per record (even empty ones), chunks of
 // up to max_chunk bases, and a plen-1 overlap carried across chunk
 // boundaries so straddling sites are re-scanned. A record whose length lands
 // exactly on a chunk boundary ends at that boundary: the carried overlap
@@ -115,22 +115,6 @@ class chunk_source {
   usize overlap_ = 0;
 };
 
-std::unique_ptr<device_pipeline> make_pipeline(const engine_options& opt,
-                                               usize max_entries) {
-  pipeline_options popt;
-  popt.variant = opt.variant;
-  popt.wg_size = opt.wg_size;
-  popt.counting = opt.counting;
-  popt.profiler = opt.profiler;
-  popt.max_entries = max_entries;
-  switch (opt.backend) {
-    case backend_kind::opencl: return make_opencl_pipeline(popt);
-    case backend_kind::sycl_usm: return make_sycl_usm_pipeline(popt);
-    case backend_kind::sycl_twobit: return make_sycl_twobit_pipeline(popt);
-    default: return make_sycl_pipeline(popt);
-  }
-}
-
 std::string spill_path(usize queue_index) {
   static std::atomic<unsigned> serial{0};
   return (std::filesystem::temp_directory_path() /
@@ -140,7 +124,7 @@ std::string spill_path(usize queue_index) {
 }
 
 // ---------------------------------------------------------------------------
-// Async engine: one decode producer feeding num_queues device consumers
+// Streaming engine: one decode producer feeding num_queues device consumers
 // over a bounded chunk queue.
 //
 //   decode (producer) -> bounded_queue -> device queue 0..N-1 -> spill files
@@ -161,14 +145,13 @@ std::string spill_path(usize queue_index) {
 // order — identical output to sort_and_dedup over an in-memory record set,
 // for any queue count.
 //
-// Failure model: a chunk whose max_entries-capped allocation overflows is
-// retried with a geometrically grown capacity (seeded by the true demand the
-// kernels round-trip, bounded by the worst case) or split in half when
-// growing would exceed max_retry_entries; transient device faults rebuild
-// the queue's pipeline and retry; spill-write failures retry with backoff.
-// Anything unrecoverable wins the first-failure race, closes the queue, and
-// is rethrown after the join — spill files are removed on unwind, so a
-// failed run never leaves partial output.
+// Failure model (core/recovery.hpp): a chunk whose max_entries-capped
+// allocation overflows is retried with a grown capacity or split in half;
+// transient device faults rebuild the queue's pipeline and retry;
+// spill-write failures retry with backoff. Anything unrecoverable wins the
+// first-failure race, closes the queues, and is rethrown after the join —
+// spill files are removed on unwind, so a failed run never leaves partial
+// output.
 //
 // Sharding (num_devices > 1): each device of the shard::device_set gets its
 // own bounded queue and num_queues consumers; each consumer binds its
@@ -176,11 +159,12 @@ std::string spill_path(usize queue_index) {
 // touches lands on that device's pool/arena. The producer assigns chunks to
 // devices through a shard_scheduler (round-robin or least-loaded). A
 // consumer whose own queue runs dry steals from the deepest other device's
-// queue (locality first, work conservation second). A device that exhausts
-// its bounded retries is marked dead: its queue closes, the chunk in hand
-// plus anything still queued is handed to the survivors, and the run
-// completes degraded — the k-way merge keeps the output byte-identical.
-// When the last device dies, the original site-named error fails the run.
+// queue (locality first, work conservation second). A consumer whose device
+// exhausts its bounded retries marks it dead and migrates to a survivor,
+// keeping the chunk in hand; its siblings follow on their next take, and a
+// dead device's backlog drains through stealing. Only the producer ever
+// pushes, so nothing pushes into a queue the producer has closed. When the
+// last device dies, the original site-named error fails the run.
 // ---------------------------------------------------------------------------
 struct stream_chunk {
   std::string text;
@@ -196,41 +180,26 @@ struct work_item {
   bool overflowed = false;
 };
 
-void accumulate(pipeline_metrics& into, const pipeline_metrics& pm) {
-  into.kernel_nanos += pm.kernel_nanos;
-  into.finder_launches += pm.finder_launches;
-  into.comparer_launches += pm.comparer_launches;
-  into.h2d_bytes += pm.h2d_bytes;
-  into.d2h_bytes += pm.d2h_bytes;
-  into.total_loci += pm.total_loci;
-  into.total_entries += pm.total_entries;
-}
-
-// Bounded recovery attempts per chunk: a real overflow converges in one or
-// two retries (the thrown error carries the true demand), so the bound only
-// exists to turn an `entry.clamp=always` fault plan into a clean error
-// instead of a retry livelock.
-constexpr usize kMaxOverflowAttempts = 12;
-// Transient device faults (dev.alloc / dev.launch / pipe.event) get a fresh
-// pipeline and a few retries before the run fails cleanly.
-constexpr usize kMaxDeviceAttempts = 4;
-// Spill writes roll back to the previous run boundary on failure; retried
-// with short exponential backoff before the run fails.
-constexpr usize kMaxSpillAttempts = 4;
-
-streamed_outcome run_streaming_async(const search_config& cfg,
-                                     const std::string& path,
-                                     const engine_options& opt,
-                                     const device_pattern& pat,
-                                     const std::vector<device_pattern>& dev_queries,
-                                     usize overlap, util::stopwatch& sw,
-                                     const record_sink& sink) {
+streamed_outcome run_streaming_scan(const search_config& cfg,
+                                    const std::string& path,
+                                    const engine_options& opt,
+                                    util::stopwatch& sw,
+                                    const record_sink& sink) {
   streamed_outcome out;
   util::thread_pool& pool = util::thread_pool::global();
+  const recovery_policy policy(opt);
 
+  const device_pattern pat = make_pattern(cfg.pattern);
+  std::vector<device_pattern> dev_queries;
   std::vector<u16> thresholds;
+  dev_queries.reserve(cfg.queries.size());
   thresholds.reserve(cfg.queries.size());
-  for (const auto& q : cfg.queries) thresholds.push_back(q.max_mismatches);
+  for (const auto& q : cfg.queries) {
+    dev_queries.push_back(make_query(q.seq));
+    thresholds.push_back(q.max_mismatches);
+  }
+  const usize overlap = pat.plen > 0 ? pat.plen - 1 : 0;
+  COF_CHECK_MSG(opt.max_chunk > overlap, "max_chunk must exceed pattern length");
 
   // Profiling serialises the queues (the process-global event counters are
   // reset/snapshot around each launch, as a profiler would) and pins the
@@ -273,19 +242,16 @@ streamed_outcome run_streaming_async(const search_config& cfg,
   shard::shard_scheduler sched(opt.shard, devs);
 
   struct queue_state {
-    std::unique_ptr<device_pipeline> pipe;
+    std::unique_ptr<device_pipeline> pipe;  // null until built (or retired)
     std::unique_ptr<record_spill_writer> writer;
-    /// Device this consumer belongs to (consumer i -> i / queues).
+    /// Device this consumer is bound to: consumer i starts on i / queues
+    /// and moves to a survivor when that device dies.
     usize device = 0;
     /// This queue's current entry cap. Grows when a chunk overflows and
     /// stays grown (sticky), so a dense region pays the rebuild once.
     usize cur_max_entries = 0;
     /// Metrics accumulated by pipelines retired in recovery rebuilds.
     pipeline_metrics retired;
-    usize chunks = 0;
-    usize steals = 0;          // chunks taken from another device's queue
-    bool device_gone = false;  // this consumer's device died mid-run
-    usize peak_chunk_bytes = 0;
     u64 wait_ns = 0;    // blocked on pop + on the previous format job
     u64 device_ns = 0;  // H2D + finder + comparer batch + fetch
     u64 format_ns = 0;  // written by the chained format jobs; the job
@@ -308,8 +274,23 @@ streamed_outcome run_streaming_async(const search_config& cfg,
     dev_queues.push_back(
         std::make_unique<util::bounded_queue<stream_chunk>>(queues + 2));
   }
-  // Chunks taken but not yet finished, per device (least-loaded input).
-  std::vector<std::atomic<usize>> inflight(ndev);
+  // Per-device accounting, charged to the device that took the chunk.
+  struct device_tally {
+    std::atomic<usize> inflight{0};  // taken, not yet finished (least-loaded)
+    std::atomic<usize> chunks{0};
+    std::atomic<usize> steals{0};    // taken from another device's queue
+  };
+  std::vector<device_tally> tally(ndev);
+  // Per-device load snapshot for the least-loaded policy: queued + taken
+  // but unfinished.
+  auto load_snapshot = [&] {
+    std::vector<usize> loads(ndev);
+    for (usize d = 0; d < ndev; ++d) {
+      loads[d] = dev_queues[d]->size() +
+                 tally[d].inflight.load(std::memory_order_relaxed);
+    }
+    return loads;
+  };
 
   // First failure wins: it closes every chunk queue so all threads unwind,
   // and is rethrown once the workers have joined. The rethrow unwinds this
@@ -331,58 +312,38 @@ streamed_outcome run_streaming_async(const search_config& cfg,
   std::atomic<u64> chunk_splits{0};
   std::atomic<u64> recovered_overflows{0};
   std::atomic<u64> spill_retries{0};
-  std::atomic<u64> shard_reassigns{0};
+  std::atomic<u64> shard_migrations{0};
 
-  // Replace a queue's pipeline (fresh device state, possibly a new entry
-  // cap), folding the old one's accounting into the retired bucket first.
-  auto rebuild = [&](queue_state& st) {
-    accumulate(st.retired, st.pipe->metrics());
-    st.pipe = make_pipeline(opt, st.cur_max_entries);
+  // Drop a queue's pipeline, folding its accounting into the retired bucket;
+  // the next attempt builds a fresh one at the current cap and device.
+  auto retire = [](queue_state& st) {
+    if (st.pipe == nullptr) return;
+    st.retired += st.pipe->metrics();
+    st.pipe.reset();
   };
 
-  // Per-device load snapshot for the least-loaded policy: queued + taken
-  // but unfinished.
-  auto load_snapshot = [&] {
-    std::vector<usize> loads(ndev);
-    for (usize d = 0; d < ndev; ++d) {
-      loads[d] =
-          dev_queues[d]->size() + inflight[d].load(std::memory_order_relaxed);
-    }
-    return loads;
+  // Move a consumer off its dead device (see recovery_policy::migrate).
+  auto migrate = [&](queue_state& st, std::optional<xpu::scoped_device>& bind) {
+    retire(st);
+    if (!recovery_policy::migrate(devs, st.device, bind)) return false;
+    shard_migrations.fetch_add(1, std::memory_order_relaxed);
+    return true;
   };
 
-  // Hand a chunk to some surviving device's queue (degradation path).
-  // False when no survivor could take it — the caller fails the run.
-  auto reassign = [&](stream_chunk&& ch) {
-    while (!failed.load(std::memory_order_acquire)) {
-      fault::inject_point(fault::site::shard_assign);
-      const usize target = sched.assign(load_snapshot());
-      if (target >= ndev) return false;  // nobody left alive
-      const util::wait_status ws = dev_queues[target]->push_for(ch, queue_timeout);
-      if (ws == util::wait_status::ready) {
-        shard_reassigns.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (ws == util::wait_status::timeout) return false;
-      // closed: the target died inside the window — try the next survivor.
-    }
-    return false;
-  };
-
-  // Sharded chunk take: own queue first (locality), then steal from the
-  // deepest other device's queue. Closed queues still drain, so survivors
-  // pick up a dead device's backlog here. Returns ready (stolen set),
-  // closed (every queue drained+closed, this device is dead, or the run
-  // failed), or timeout (queue_timeout passed with open queues, no chunk).
-  auto take_sharded = [&](queue_state& st, stream_chunk& ch, bool& stolen) {
+  // Chunk take: own queue first (locality), then steal from the deepest
+  // other device's queue (a dead device's backlog drains this way). Each
+  // empty pass blocks on the own queue for one slice and counts toward
+  // queue_timeout. Queues only close all together (end of input or run
+  // failure), so a closed own queue ends the take after one steal pass.
+  auto take = [&](queue_state& st, stream_chunk& ch, bool& stolen) {
     fault::inject_point(fault::site::queue_pop);
-    const auto slice = std::chrono::milliseconds(2);
-    std::chrono::nanoseconds waited{0};
-    for (;;) {
+    const auto slice = std::min<std::chrono::nanoseconds>(
+        queue_timeout, std::chrono::milliseconds(2));
+    for (std::chrono::nanoseconds waited{0};; waited += slice) {
       if (failed.load(std::memory_order_acquire)) {
         return util::wait_status::closed;
       }
-      if (!devs.alive(st.device)) return util::wait_status::closed;
+      if (waited >= queue_timeout) return util::wait_status::timeout;
       const util::wait_status own = dev_queues[st.device]->pop_for(ch, slice);
       if (own == util::wait_status::ready) {
         stolen = false;
@@ -397,36 +358,15 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
         return a.first != b.first ? a.first > b.first : a.second < b.second;
       });
-      bool all_closed = own == util::wait_status::closed;
       for (const auto& [depth, d] : order) {
-        const util::wait_status got =
-            dev_queues[d]->pop_for(ch, std::chrono::nanoseconds{0});
-        if (got == util::wait_status::ready) {
+        if (dev_queues[d]->pop_for(ch, std::chrono::nanoseconds{0}) ==
+            util::wait_status::ready) {
           stolen = true;
-          return got;
+          return util::wait_status::ready;
         }
-        if (got == util::wait_status::timeout) all_closed = false;  // open
       }
-      if (all_closed) return util::wait_status::closed;
-      if (own == util::wait_status::timeout) {
-        waited += slice;
-        if (waited >= queue_timeout) return util::wait_status::timeout;
-      }
+      if (own == util::wait_status::closed) return own;
     }
-  };
-
-  // Mark st's device dead and hand its pending work to the survivors.
-  // False when none survive or a hand-off failed — the caller rethrows the
-  // original error and the run fails cleanly.
-  auto degrade = [&](queue_state& st, std::vector<work_item>& work) {
-    if (ndev <= 1 || devs.mark_failed(st.device) == 0) return false;
-    dev_queues[st.device]->close();
-    while (!work.empty()) {
-      if (!reassign(std::move(work.back().ch))) return false;
-      work.pop_back();
-    }
-    st.device_gone = true;
-    return true;
   };
 
   auto consume = [&](queue_state& st, usize queue_index) {
@@ -434,33 +374,22 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       obs::set_thread_name(util::format("stream.queue-%zu", queue_index));
     }
     // Bind this consumer — and every buffer/launch it performs — to its
-    // device; the ordinal lets site@N fault specs target it.
-    xpu::scoped_device bind(devs.at(st.device), static_cast<int>(st.device));
+    // device; the ordinal lets site@N fault specs target it. Re-bound when
+    // the consumer migrates off a dead device.
+    std::optional<xpu::scoped_device> bind;
+    bind.emplace(devs.at(st.device), static_cast<int>(st.device));
     util::thread_pool::job format_job;
     try {
-      try {
-        st.pipe = make_pipeline(opt, st.cur_max_entries);
-      } catch (const fault::injected_error&) {
-        // Dead on arrival. With survivors the run degrades (the producer
-        // routes around the closed queue); alone, the run fails.
-        std::vector<work_item> none;
-        if (!degrade(st, none)) throw;
-      }
       stream_chunk ch;
-      while (!st.device_gone) {
-        if (failed.load(std::memory_order_acquire)) break;
-        if (!devs.alive(st.device)) break;  // a sibling marked it dead
+      while (!failed.load(std::memory_order_acquire)) {
+        // A sibling consumer marked this device dead: follow it off.
+        if (!devs.alive(st.device) && !migrate(st, bind)) break;
         u64 t0 = util::process_nanos();
         util::wait_status got;
         bool stolen = false;
         {
           obs::span sp("queue.pop", "stream");
-          if (ndev == 1) {
-            fault::inject_point(fault::site::queue_pop);
-            got = dev_queues[0]->pop_for(ch, queue_timeout);
-          } else {
-            got = take_sharded(st, ch, stolen);
-          }
+          got = take(st, ch, stolen);
         }
         const u64 pop_ns = util::process_nanos() - t0;
         st.wait_ns += pop_ns;
@@ -478,11 +407,11 @@ streamed_outcome run_streaming_async(const search_config& cfg,
               util::format("stream queue.pop stalled: no chunk arrived for "
                            "%zu ms", opt.queue_timeout_ms));
         }
-        ++st.chunks;
-        if (stolen) ++st.steals;
-        inflight[st.device].fetch_add(1, std::memory_order_relaxed);
+        device_tally& took = tally[st.device];
+        took.chunks.fetch_add(1, std::memory_order_relaxed);
+        if (stolen) took.steals.fetch_add(1, std::memory_order_relaxed);
+        took.inflight.fetch_add(1, std::memory_order_relaxed);
         if (m_chunks != nullptr) m_chunks->add(1);
-        st.peak_chunk_bytes = std::max(st.peak_chunk_bytes, ch.text.size());
         LOG_DEBUG("stream chunk@%llu: %zu bases",
                   static_cast<unsigned long long>(ch.start), ch.text.size());
 
@@ -490,12 +419,15 @@ streamed_outcome run_streaming_async(const search_config& cfg,
         // the chunk — and, after a split, its halves — still to process.
         std::vector<work_item> work;
         work.push_back(work_item{std::move(ch), false});
-        while (!work.empty() && !st.device_gone) {
+        while (!work.empty()) {
           work_item item = std::move(work.back());
           work.pop_back();
-          for (usize attempt = 0;; ++attempt) {
+          for (usize attempt = 0;;) {
             t0 = util::process_nanos();
             try {
+              if (st.pipe == nullptr) {
+                st.pipe = make_pipeline(opt, st.cur_max_entries);
+              }
               st.pipe->load_chunk_async(item.ch.text).wait();
               const u32 hits = st.pipe->run_finder(pat);
               device_pipeline::entries entries;
@@ -547,20 +479,9 @@ streamed_outcome run_streaming_async(const search_config& cfg,
                               make_site_string(dev_queries[qi].seq, slice,
                                                ent.dir[e])});
                         }
-                        // spill() rolls back to the previous run boundary on
-                        // failure and leaves the batch intact — retry it.
-                        for (usize a = 0;; ++a) {
-                          try {
-                            writer->spill(batch);
-                            break;
-                          } catch (const spill_error&) {
-                            if (a + 1 >= kMaxSpillAttempts) throw;
-                            spill_retries.fetch_add(1,
-                                                    std::memory_order_relaxed);
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(1u << a));
-                          }
-                        }
+                        // A failed spill leaves the batch intact.
+                        recovery_policy::spill([&] { writer->spill(batch); },
+                                               spill_retries);
                         const u64 format_ns = util::process_nanos() - f0;
                         stp->format_ns += format_ns;
                         if (m_format != nullptr) {
@@ -574,81 +495,52 @@ streamed_outcome run_streaming_async(const search_config& cfg,
               break;  // chunk done
             } catch (const entry_overflow_error& e) {
               st.device_ns += util::process_nanos() - t0;
-              if (!opt.overflow_recovery || attempt + 1 >= kMaxOverflowAttempts) {
-                throw;
-              }
-              obs::span sp("recover.retry", "stream");
-              sp.arg("required", static_cast<double>(e.required()));
-              sp.arg("capacity", static_cast<double>(e.capacity()));
+              // The left half of a split keeps the plen-1 overlap past the
+              // cut so straddling sites stay covered; the duplicates the
+              // overlap re-scan produces are dropped by the merge.
+              const usize mid = item.ch.text.size() / 2;
+              const auto step = policy.on_overflow(
+                  e, attempt, item.ch.text.size(), dev_queries.size(),
+                  mid > 0 && mid + overlap < item.ch.text.size(),
+                  st.cur_max_entries);
+              if (step == recovery_policy::overflow_step::fail) throw;
               item.overflowed = true;
-              const usize cur = st.cur_max_entries;
-              if (cur != 0) {
-                // Grow geometrically but never past the worst case (every
-                // position a hit for every query — the sizing max_entries=0
-                // would have used); the true demand the error round-tripped
-                // short-circuits the doubling.
-                const usize nq = std::max<usize>(1, dev_queries.size());
-                const usize worst = item.ch.text.size() * 2 * nq;
-                usize grown = std::min<usize>(
-                    worst, std::max<usize>(e.required(), cur * 2));
-                if (opt.max_retry_entries != 0 &&
-                    grown > opt.max_retry_entries) {
-                  // Splitting halves the demand instead of growing the
-                  // allocation past the cap (the bounded-memory guarantee).
-                  // The left half keeps the plen-1 overlap past the cut so
-                  // straddling sites stay covered; the duplicates the
-                  // overlap re-scan produces are dropped by the merge.
-                  const usize mid = item.ch.text.size() / 2;
-                  if (mid > 0 && mid + overlap < item.ch.text.size()) {
-                    obs::span ssp("recover.split", "stream");
-                    ssp.arg("bases",
-                            static_cast<double>(item.ch.text.size()));
-                    chunk_splits.fetch_add(1, std::memory_order_relaxed);
-                    work_item right;
-                    right.overflowed = true;
-                    right.ch.text = item.ch.text.substr(mid);
-                    right.ch.start = item.ch.start + mid;
-                    right.ch.chrom_index = item.ch.chrom_index;
-                    item.ch.text.resize(mid + overlap);
-                    work.push_back(std::move(right));
-                    work.push_back(std::move(item));
-                    break;  // halves re-enter via the work stack
-                  }
-                  grown = std::min(grown, opt.max_retry_entries);
-                  if (grown <= cur) throw;  // can neither grow nor split
-                }
-                if (grown > cur) {
-                  st.cur_max_entries = grown;
-                  rebuild(st);
-                }
+              if (step == recovery_policy::overflow_step::split) {
+                obs::span ssp("recover.split", "stream");
+                ssp.arg("bases", static_cast<double>(item.ch.text.size()));
+                chunk_splits.fetch_add(1, std::memory_order_relaxed);
+                work_item right;
+                right.overflowed = true;
+                right.ch.text = item.ch.text.substr(mid);
+                right.ch.start = item.ch.start + mid;
+                right.ch.chrom_index = item.ch.chrom_index;
+                item.ch.text.resize(mid + overlap);
+                work.push_back(std::move(right));
+                work.push_back(std::move(item));
+                break;  // halves re-enter via the work stack
               }
-              // cur == 0 is worst-case sizing: only an injected entry.clamp
-              // lands here — retry as-is within the attempt bound.
+              if (step == recovery_policy::overflow_step::grow) retire(st);
               overflow_retries.fetch_add(1, std::memory_order_relaxed);
+              ++attempt;
             } catch (const fault::injected_error&) {
               // Transient device failure (dev.alloc / dev.launch /
               // pipe.event): fresh device state, bounded retries. Past the
-              // bound — or when the replacement pipeline won't even build —
-              // the device is marked dead and its pending work handed to
-              // the survivors; with none left the run fails cleanly.
+              // bound the device is dead: migrate to a survivor with the
+              // chunk in hand and a fresh budget; with none left the run
+              // fails cleanly.
               st.device_ns += util::process_nanos() - t0;
-              bool rebuilt = false;
-              if (attempt + 1 < kMaxDeviceAttempts) {
-                try {
-                  rebuild(st);
-                  rebuilt = true;
-                } catch (const fault::injected_error&) {
-                }
-              }
-              if (!rebuilt) {
-                work.push_back(std::move(item));
-                if (!degrade(st, work)) throw;
-                break;  // device_gone: the while loops unwind
+              retire(st);
+              if (recovery_policy::retry_device(attempt)) {
+                ++attempt;
+              } else if (migrate(st, bind)) {
+                attempt = 0;
+              } else {
+                throw;
               }
             }
           }
         }
-        inflight[st.device].fetch_sub(1, std::memory_order_relaxed);
+        took.inflight.fetch_sub(1, std::memory_order_relaxed);
       }
       {
         obs::span sp("format.wait", "stream");
@@ -658,16 +550,7 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       }
       // finish() clears the stream state before throwing, so the final
       // flush gets the same bounded retry as the per-batch spills.
-      for (usize a = 0;; ++a) {
-        try {
-          st.writer->finish();
-          break;
-        } catch (const spill_error&) {
-          if (a + 1 >= kMaxSpillAttempts) throw;
-          spill_retries.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(std::chrono::milliseconds(1u << a));
-        }
-      }
+      recovery_policy::spill([&] { st.writer->finish(); }, spill_retries);
     } catch (...) {
       record_failure(std::current_exception());
       format_job.wait();  // the chained job must not outlive this frame
@@ -680,7 +563,8 @@ streamed_outcome run_streaming_async(const search_config& cfg,
     workers.emplace_back(consume, std::ref(qs[i]), i);
   }
 
-  // Producer: the only thread touching the FASTA stream and chrom_names.
+  // Producer: the only thread touching the FASTA stream and chrom_names,
+  // and the only one that pushes.
   if (tracing) obs::set_thread_name("stream.producer");
   chunk_source source(path, opt.max_chunk, overlap);
   u64 decode_ns = 0, push_ns = 0;
@@ -704,32 +588,25 @@ streamed_outcome run_streaming_async(const search_config& cfg,
       }
       if (ev.kind == chunk_source::event::end) break;
       if (m_decode != nullptr) m_decode->observe(d_ns / 1000);
+      out.peak_chunk_bytes = std::max(out.peak_chunk_bytes, ev.text.size());
       stream_chunk ch;
       ch.text = std::move(ev.text);
       ch.start = ev.start;
       ch.chrom_index = static_cast<u32>(out.chrom_names.size()) - 1;
       t0 = util::process_nanos();
-      util::wait_status ws;
+      util::wait_status ws = util::wait_status::closed;
       usize target = 0;
       {
         obs::span sp("queue.push", "stream");
         fault::inject_point(fault::site::queue_push);
-        if (ndev == 1) {
-          ws = dev_queues[0]->push_for(ch, queue_timeout);
-        } else {
-          // Assign through the shard scheduler; a push that lands on a
-          // queue closed by a mid-window device death retries against the
-          // survivors. At most ndev closes can happen, so the loop is
-          // bounded.
-          ws = util::wait_status::closed;
-          for (usize tries = 0; tries <= ndev; ++tries) {
-            fault::inject_point(fault::site::shard_assign);
-            target = sched.assign(load_snapshot());
-            if (target >= ndev) break;  // no device left: consumers failed
-            ws = dev_queues[target]->push_for(ch, queue_timeout);
-            if (ws != util::wait_status::closed) break;
-          }
+        if (ndev > 1) {
+          fault::inject_point(fault::site::shard_assign);
+          target = sched.assign(load_snapshot());
         }
+        // No device alive: the consumer that killed the last one fails the
+        // run. A device dying after assignment is harmless — its queue
+        // stays open and the survivors drain it through stealing.
+        if (target < ndev) ws = dev_queues[target]->push_for(ch, queue_timeout);
       }
       const u64 p_ns = util::process_nanos() - t0;
       push_ns += p_ns;
@@ -763,21 +640,22 @@ streamed_outcome run_streaming_async(const search_config& cfg,
 
   out.device_shards.resize(ndev);
   for (usize d = 0; d < ndev; ++d) {
-    out.device_shards[d].name = devs.name(d);
-    out.device_shards[d].failed = !devs.alive(d);
+    auto& ds = out.device_shards[d];
+    ds.name = devs.name(d);
+    ds.failed = !devs.alive(d);
+    ds.chunks = tally[d].chunks.load();
+    ds.steals = tally[d].steals.load();
+    out.metrics.chunks += ds.chunks;
+    out.shard_steals += ds.steals;
   }
   std::vector<std::string> spill_paths;
   for (auto& st : qs) {
-    out.metrics.chunks += st.chunks;
-    out.peak_chunk_bytes = std::max(out.peak_chunk_bytes, st.peak_chunk_bytes);
     out.peak_record_bytes += st.writer->peak_run_bytes();
     out.spill_runs += st.writer->runs();
     spill_paths.push_back(st.writer->path());
-    pipeline_metrics pm = st.retired;
-    // A device that died before its pipeline was built leaves pipe null.
-    if (st.pipe != nullptr) accumulate(pm, st.pipe->metrics());
-    out.metrics.per_queue.push_back(pm);
-    accumulate(out.metrics.pipeline, pm);
+    retire(st);
+    out.metrics.per_queue.push_back(st.retired);
+    out.metrics.pipeline += st.retired;
     stream_stage_times qt;
     qt.queue_wait_s = static_cast<double>(st.wait_ns) / 1e9;
     qt.device_s = static_cast<double>(st.device_ns) / 1e9;
@@ -786,15 +664,13 @@ streamed_outcome run_streaming_async(const search_config& cfg,
     out.stage_times.queue_wait_s += qt.queue_wait_s;
     out.stage_times.device_s += qt.device_s;
     out.stage_times.format_s += qt.format_s;
-    auto& ds = out.device_shards[st.device];
-    ds.chunks += st.chunks;
-    ds.steals += st.steals;
-    ds.stages.queue_wait_s += qt.queue_wait_s;
-    ds.stages.device_s += qt.device_s;
-    ds.stages.format_s += qt.format_s;
-    out.shard_steals += st.steals;
+    // A consumer that migrated counts on the device it finished on.
+    auto& stages = out.device_shards[st.device].stages;
+    stages.queue_wait_s += qt.queue_wait_s;
+    stages.device_s += qt.device_s;
+    stages.format_s += qt.format_s;
   }
-  out.shard_reassigns = shard_reassigns.load();
+  out.shard_migrations = shard_migrations.load();
 
   out.metrics.recovery.overflow_retries = overflow_retries.load();
   out.metrics.recovery.chunk_splits = chunk_splits.load();
@@ -836,103 +712,10 @@ streamed_outcome run_streaming_async(const search_config& cfg,
         reg.counter("shard.steals." + ds.name).add(ds.steals);
       }
       reg.counter("shard.steals").add(out.shard_steals);
-      reg.counter("shard.reassigns").add(out.shard_reassigns);
     }
   }
 
   out.streamed_bases = source.streamed_bases();
-  out.metrics.elapsed_seconds = sw.seconds();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Synchronous engine: the PR 1 loop, kept verbatim as the bench baseline —
-// blocking decode, then one comparer launch per query per chunk, records
-// accumulated in memory until end of run.
-// ---------------------------------------------------------------------------
-streamed_outcome run_streaming_sync(const search_config& cfg,
-                                    const std::string& path,
-                                    const engine_options& opt,
-                                    device_pipeline* pipe,
-                                    const device_pattern& pat,
-                                    const std::vector<device_pattern>& dev_queries,
-                                    usize overlap, util::stopwatch& sw,
-                                    const record_sink& sink) {
-  streamed_outcome out;
-  std::string chunk;
-  chunk.reserve(opt.max_chunk);
-  u64 decode_ns = 0, device_ns = 0, format_ns = 0;
-
-  auto search_chunk = [&](u32 chrom_index, util::u64 chunk_start) {
-    ++out.metrics.chunks;
-    out.peak_chunk_bytes = std::max(out.peak_chunk_bytes, chunk.size());
-    u64 t0 = util::process_nanos();
-    pipe->load_chunk(chunk);
-    const u32 hits = pipe->run_finder(pat);
-    device_ns += util::process_nanos() - t0;
-    if (hits == 0) return;
-    for (u32 qi = 0; qi < cfg.queries.size(); ++qi) {
-      t0 = util::process_nanos();
-      const auto entries =
-          pipe->run_comparer(dev_queries[qi], cfg.queries[qi].max_mismatches);
-      device_ns += util::process_nanos() - t0;
-      const std::string& qseq = dev_queries[qi].seq;
-      t0 = util::process_nanos();
-      for (usize e = 0; e < entries.size(); ++e) {
-        // The chunk buffer is still host-resident: slice the site from it.
-        const std::string_view slice(chunk.data() + entries.loci[e], pat.plen);
-        out.records.push_back(ot_record{
-            qi, chrom_index, chunk_start + entries.loci[e], entries.dir[e],
-            entries.mm[e], make_site_string(qseq, slice, entries.dir[e])});
-      }
-      format_ns += util::process_nanos() - t0;
-    }
-  };
-
-  for (const auto& file : genome::fasta_files_at(path)) {
-    genome::fasta_stream stream(file);
-    while (stream.next_record()) {
-      const u32 chrom_index = static_cast<u32>(out.chrom_names.size());
-      out.chrom_names.push_back(stream.record_name());
-      util::u64 chunk_start = 0;  // chromosome offset of chunk[0]
-      chunk.clear();
-      for (;;) {
-        const u64 d0 = util::process_nanos();
-        const usize got = stream.read_bases(chunk, opt.max_chunk - chunk.size());
-        decode_ns += util::process_nanos() - d0;
-        out.streamed_bases += got;
-        // EOF with nothing new: the record was empty or ended exactly on
-        // the previous chunk boundary — the carried overlap was already
-        // scanned, so there is no carry-only tail chunk to search.
-        if (got == 0) break;
-        const bool record_done = chunk.size() < opt.max_chunk;
-        LOG_DEBUG("stream %s@%llu: %zu bases%s", stream.record_name().c_str(),
-                  static_cast<unsigned long long>(chunk_start), chunk.size(),
-                  record_done ? " (tail)" : "");
-        search_chunk(chrom_index, chunk_start);
-        if (record_done) break;
-        // Carry the overlap so boundary-straddling sites are re-scanned.
-        chunk_start += chunk.size() - overlap;
-        chunk.erase(0, chunk.size() - overlap);
-      }
-    }
-  }
-
-  const u64 m0 = util::process_nanos();
-  sort_and_dedup(out.records);
-  out.stage_times.merge_s = static_cast<double>(util::process_nanos() - m0) / 1e9;
-  out.stage_times.decode_s = static_cast<double>(decode_ns) / 1e9;
-  out.stage_times.device_s = static_cast<double>(device_ns) / 1e9;
-  out.stage_times.format_s = static_cast<double>(format_ns) / 1e9;
-  for (const auto& r : out.records) {
-    out.peak_record_bytes += sizeof(ot_record) + r.site.size();
-  }
-  out.total_records = out.records.size();
-  if (sink) {
-    for (auto& r : out.records) sink(std::move(r));
-    out.records.clear();
-  }
-  out.metrics.pipeline = pipe->metrics();
   out.metrics.elapsed_seconds = sw.seconds();
   return out;
 }
@@ -1046,44 +829,10 @@ streamed_outcome run_search_streaming(const search_config& cfg,
   // Index/query split: a prebuilt (or cached) index answers the queries
   // with comparer-only launches — zero FASTA decode, zero finder launches
   // on the warm path.
-  if (opt.index != nullptr || !opt.index_path.empty()) {
-    streamed_outcome out = run_streaming_indexed(cfg, path, opt, sw, sink);
-    if (obs::enabled()) {
-      if (opt.profiler != nullptr) obs::fold_profiler(*opt.profiler);
-      if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-      if (!opt.metrics_json.empty()) {
-        obs::metrics_registry::global().write_json(opt.metrics_json);
-      }
-    }
-    return out;
-  }
-
-  const device_pattern pat = make_pattern(cfg.pattern);
-  std::vector<device_pattern> dev_queries;
-  dev_queries.reserve(cfg.queries.size());
-  for (const auto& q : cfg.queries) dev_queries.push_back(make_query(q.seq));
-  const usize overlap = pat.plen > 0 ? pat.plen - 1 : 0;
-  COF_CHECK_MSG(opt.max_chunk > overlap, "max_chunk must exceed pattern length");
-
-  streamed_outcome out;
-  // The synchronous loop drives exactly one pipeline; a multi-device run
-  // needs the async engine's per-device consumers, whatever stream_async
-  // says.
-  if (opt.stream_async || opt.num_devices > 1) {
-    out = run_streaming_async(cfg, path, opt, pat, dev_queries, overlap, sw,
-                              sink);
-  } else {
-    std::unique_ptr<device_pipeline> pipe = make_pipeline(opt, opt.max_entries);
-    out = run_streaming_sync(cfg, path, opt, pipe.get(), pat, dev_queries,
-                             overlap, sw, sink);
-  }
-  if (obs::enabled()) {
-    if (opt.profiler != nullptr) obs::fold_profiler(*opt.profiler);
-    if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-    if (!opt.metrics_json.empty()) {
-      obs::metrics_registry::global().write_json(opt.metrics_json);
-    }
-  }
+  streamed_outcome out = opt.index != nullptr || !opt.index_path.empty()
+                             ? run_streaming_indexed(cfg, path, opt, sw, sink)
+                             : run_streaming_scan(cfg, path, opt, sw, sink);
+  write_run_obs(opt);
   return out;
 }
 

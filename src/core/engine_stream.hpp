@@ -41,12 +41,11 @@ struct streamed_outcome {
   util::u64 streamed_bases = 0;
   util::usize peak_chunk_bytes = 0;
   /// Bounded-memory accounting: the most record bytes the engine held in
-  /// host memory at once. Async path: sum over queues of the largest
+  /// host memory at once. Cold scan: sum over queues of the largest
   /// single-chunk batch (per-chunk bound — records spill to disk between
-  /// chunks). Sync path: the whole accumulated record set (the contrast
-  /// the spill writer exists to avoid).
+  /// chunks). Index path: the whole in-memory record set.
   util::usize peak_record_bytes = 0;
-  /// Sorted runs spilled across all queues (async path; 0 in sync mode).
+  /// Sorted runs spilled across all queues (cold scan; 0 on the index path).
   util::usize spill_runs = 0;
   /// Records after the merge-dedup (== records.size() unless a sink
   /// consumed them).
@@ -54,27 +53,29 @@ struct streamed_outcome {
   /// Run-wide stage breakdown: decode/merge from the producer thread,
   /// queue_wait/device/format summed across queues.
   stream_stage_times stage_times;
-  /// Per-queue breakdown (async path; empty in sync mode). decode/merge are
-  /// producer-side and stay 0 here.
+  /// Per-queue breakdown (cold scan; empty on the index path). decode/merge
+  /// are producer-side and stay 0 here.
   std::vector<stream_stage_times> queue_stages;
-  /// Most chunks ever resident in the bounded queue (async path) — the
+  /// Most chunks ever resident in the bounded queue (cold scan) — the
   /// backpressure high-water mark against capacity num_queues + 2.
   util::usize peak_queue_depth = 0;
   /// Per-device accounting for sharded runs (engine_options::num_devices).
   /// One entry per device even when a device failed mid-run; size 1 for
-  /// single-device runs on the async path.
+  /// single-device cold scans.
   struct shard_device_stats {
     std::string name;            // device_set name ("xpu0"… or the simulator)
-    util::usize chunks = 0;      // chunks this device completed
-    util::usize steals = 0;      // chunks its consumers stole from other queues
+    util::usize chunks = 0;      // chunks taken by consumers bound to it
+    util::usize steals = 0;      // of those, taken from another device's queue
     bool failed = false;         // device marked dead mid-run (degraded)
-    stream_stage_times stages;   // summed over the device's consumers
+    stream_stage_times stages;   // summed over the consumers that finished
+                                 // on it (a migrated consumer counts on its
+                                 // survivor)
   };
   std::vector<shard_device_stats> device_shards;
-  /// Cross-device totals: chunks taken from a non-home queue, and chunks
-  /// re-pushed to survivors after a device death.
+  /// Cross-device totals: chunks taken from a non-home queue, and consumers
+  /// that moved to a survivor after their device died.
   util::usize shard_steals = 0;
-  util::usize shard_reassigns = 0;
+  util::usize shard_migrations = 0;
   /// Index/query split accounting (engine_options::index / index_path).
   bool used_index = false;       // run went through the index query path
   bool index_cache_hit = false;  // index came prebuilt (in memory or .cofidx)
@@ -89,9 +90,9 @@ using record_sink = std::function<void(ot_record&&)>;
 
 /// Run the search against the FASTA file/directory at `path` (the config's
 /// genome line is ignored). Results are identical to loading the genome and
-/// calling run_search. opt.num_queues > 1 (async path) decodes once and
-/// fans the chunks out to that many independent device pipelines over a
-/// bounded queue; results stay byte-identical for any queue count.
+/// calling run_search. opt.num_queues > 1 decodes once and fans the chunks
+/// out to that many independent device pipelines over a bounded queue;
+/// results stay byte-identical for any queue count.
 streamed_outcome run_search_streaming(const search_config& cfg,
                                       const std::string& path,
                                       const engine_options& opt = {});

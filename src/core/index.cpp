@@ -5,6 +5,7 @@
 #include <mutex>
 #include <optional>
 
+#include "core/recovery.hpp"
 #include "fault/fault.hpp"
 #include "genome/chunker.hpp"
 #include "obs/metrics.hpp"
@@ -119,62 +120,6 @@ std::string unpack_text(const std::string& packed, usize len,
   return text;
 }
 
-std::unique_ptr<device_pipeline> make_index_pipeline(const engine_options& opt,
-                                                     usize max_entries) {
-  pipeline_options popt;
-  popt.variant = opt.variant;
-  popt.wg_size = opt.wg_size;
-  popt.counting = opt.counting;
-  popt.profiler = opt.profiler;
-  popt.max_entries = max_entries;
-  switch (opt.backend) {
-    case backend_kind::opencl: return make_opencl_pipeline(popt);
-    case backend_kind::sycl_usm: return make_sycl_usm_pipeline(popt);
-    case backend_kind::sycl_twobit: return make_sycl_twobit_pipeline(popt);
-    default: return make_sycl_pipeline(popt);
-  }
-}
-
-void merge_pipeline_metrics(run_metrics& m, const pipeline_metrics& pm) {
-  m.per_queue.push_back(pm);
-  m.pipeline.kernel_nanos += pm.kernel_nanos;
-  m.pipeline.finder_launches += pm.finder_launches;
-  m.pipeline.comparer_launches += pm.comparer_launches;
-  m.pipeline.h2d_bytes += pm.h2d_bytes;
-  m.pipeline.d2h_bytes += pm.d2h_bytes;
-  m.pipeline.total_loci += pm.total_loci;
-  m.pipeline.total_entries += pm.total_entries;
-}
-
-/// Fold one pipeline's lifetime accounting into a running total (the
-/// field-wise sum, without the per_queue bookkeeping of
-/// merge_pipeline_metrics).
-void accumulate_metrics(pipeline_metrics& into, const pipeline_metrics& pm) {
-  into.kernel_nanos += pm.kernel_nanos;
-  into.finder_launches += pm.finder_launches;
-  into.comparer_launches += pm.comparer_launches;
-  into.h2d_bytes += pm.h2d_bytes;
-  into.d2h_bytes += pm.d2h_bytes;
-  into.total_loci += pm.total_loci;
-  into.total_entries += pm.total_entries;
-}
-
-/// pipeline_metrics accumulate over the pipeline's lifetime; a long-lived
-/// session must report per-query() deltas or the second and later outcomes
-/// double-count every prior call.
-pipeline_metrics metrics_delta(const pipeline_metrics& now,
-                               const pipeline_metrics& prev) {
-  pipeline_metrics d;
-  d.kernel_nanos = now.kernel_nanos - prev.kernel_nanos;
-  d.finder_launches = now.finder_launches - prev.finder_launches;
-  d.comparer_launches = now.comparer_launches - prev.comparer_launches;
-  d.h2d_bytes = now.h2d_bytes - prev.h2d_bytes;
-  d.d2h_bytes = now.d2h_bytes - prev.d2h_bytes;
-  d.total_loci = now.total_loci - prev.total_loci;
-  d.total_entries = now.total_entries - prev.total_entries;
-  return d;
-}
-
 void check_query_lengths(const genome_index& idx,
                          const std::vector<query_spec>& queries) {
   for (const auto& q : queries) {
@@ -220,7 +165,7 @@ genome_index build_index(const genome::genome_t& g, const std::string& pattern,
   std::exception_ptr first_error;
   auto worker = [&] {
     try {
-      auto pipe = make_index_pipeline(opt, /*max_entries=*/0);
+      auto pipe = make_pipeline(opt, /*max_entries=*/0);
       for (;;) {
         const usize ci = next.fetch_add(1);
         if (ci >= chunks.size()) break;
@@ -491,7 +436,7 @@ struct index_query_session::slot {
   /// retired bucket. Deltas against `reported` keep per-call outcomes honest.
   pipeline_metrics total_metrics() const {
     pipeline_metrics pm = retired;
-    for (const auto& rc : resident) accumulate_metrics(pm, rc.pipe->metrics());
+    for (const auto& rc : resident) pm += rc.pipe->metrics();
     return pm;
   }
 
@@ -507,7 +452,7 @@ struct index_query_session::slot {
   bool evict(usize ci) {
     for (usize i = 0; i < resident.size(); ++i) {
       if (resident[i].chunk != ci) continue;
-      accumulate_metrics(retired, resident[i].pipe->metrics());
+      retired += resident[i].pipe->metrics();
       resident_bytes -= resident[i].bytes;
       resident.erase(resident.begin() + i);
       return true;
@@ -519,7 +464,7 @@ struct index_query_session::slot {
   /// device are unreachable, survivors re-upload on demand). Accounting
   /// folds into the retired bucket like any other eviction.
   void evict_all() {
-    for (auto& rc : resident) accumulate_metrics(retired, rc.pipe->metrics());
+    for (auto& rc : resident) retired += rc.pipe->metrics();
     resident.clear();
     resident_bytes = 0;
   }
@@ -551,13 +496,6 @@ namespace {
 usize chunk_resident_bytes(const index_chunk& ch) {
   return ch.text.size() + ch.loci.size() * (sizeof(u32) + sizeof(char));
 }
-
-// Bounded recovery attempts per chunk, matching the streaming engine: a
-// real overflow converges in one or two retries (the thrown error carries
-// the true demand); the bounds only exist to turn an `always` fault plan
-// into a clean error instead of a retry livelock.
-constexpr usize kMaxOverflowAttempts = 12;
-constexpr usize kMaxDeviceAttempts = 4;
 
 }  // namespace
 
@@ -652,6 +590,7 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
     thresholds.push_back(q.max_mismatches);
   }
   const u32 plen = dev_queries.front().plen;
+  const recovery_policy policy(opt_);
 
   std::mutex merge_mu;
   std::exception_ptr first_error;
@@ -692,7 +631,7 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
               slot::resident_chunk fresh;
               fresh.chunk = ci;
               fresh.bytes = bytes;
-              fresh.pipe = make_index_pipeline(opt_, sl.cur_max_entries);
+              fresh.pipe = make_pipeline(opt_, sl.cur_max_entries);
               fresh.pipe->load_indexed_chunk(ch.text, plen, ch.loci, ch.flags);
               sl.resident.push_back(std::move(fresh));
               sl.resident_bytes += bytes;
@@ -719,59 +658,34 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
             }
             break;  // chunk done
           } catch (const entry_overflow_error& e) {
-            // The engine's bounded grow-retry policy: the retry capacity is
-            // seeded by the TRUE demand the error round-trips, grows
-            // geometrically, never past the worst case, and stays grown
-            // (sticky per slot). The overflowing chunk's pipeline is
-            // retired; the next attempt re-admits at the grown cap.
-            if (!opt_.overflow_recovery ||
-                attempt + 1 >= kMaxOverflowAttempts) {
+            // The overflowing chunk's pipeline is retired; the next attempt
+            // re-admits it at the (possibly grown, sticky per slot) cap.
+            // Indexed chunks carry fixed loci, so they cannot split.
+            if (policy.on_overflow(e, attempt, ch.text.size(),
+                                   dev_queries.size(), /*can_split=*/false,
+                                   sl.cur_max_entries) ==
+                recovery_policy::overflow_step::fail) {
               throw;
             }
-            obs::span rsp("recover.retry", "engine");
-            rsp.arg("required", static_cast<double>(e.required()));
-            rsp.arg("capacity", static_cast<double>(e.capacity()));
             overflowed = true;
             sl.evict(ci);
-            const usize cur = sl.cur_max_entries;
-            if (cur != 0) {
-              const usize nq = std::max<usize>(1, dev_queries.size());
-              const usize worst = ch.text.size() * 2 * nq;
-              const usize grown = std::min<usize>(
-                  worst, std::max<usize>(e.required(), cur * 2));
-              if (grown <= cur) throw;  // already worst-case sized
-              sl.cur_max_entries = grown;
-            }
-            // cur == 0 is worst-case sizing: only an injected entry.clamp
-            // lands here — retry as-is within the attempt bound.
             ++overflow_retries;
             ++attempt;
           } catch (const fault::injected_error&) {
             // Transient device failure (dev.alloc / dev.launch /
             // pipe.event): retire this chunk's pipeline for fresh device
-            // state, bounded retries — the streaming engine's policy.
-            if (attempt + 1 < kMaxDeviceAttempts) {
-              sl.evict(ci);
+            // state, bounded retries. Past the bound the device is gone:
+            // drop the slot's residency (its buffers live on the dead
+            // device) and migrate to a survivor with a fresh budget; with
+            // none the original error propagates.
+            sl.evict(ci);
+            if (recovery_policy::retry_device(attempt)) {
               ++attempt;
               continue;
             }
-            // Attempts exhausted: the device is gone, not transient. With
-            // survivors, drop the slot's residency (its buffers live on the
-            // dead device), migrate to one and restart the attempt budget
-            // there; with none the original error propagates.
-            if (devs_->size() <= 1 || devs_->mark_failed(sl.device) == 0) {
-              throw;
-            }
-            obs::span msp("index.shard.migrate", "engine");
-            msp.arg("from", static_cast<double>(sl.device));
+            if (!recovery_policy::migrate(*devs_, sl.device, bind)) throw;
             sl.evict_all();
-            sl.device = devs_->pick_alive(sl.device + 1);
-            msp.arg("to", static_cast<double>(sl.device));
-            bind.emplace(devs_->at(sl.device), static_cast<int>(sl.device));
             migrations_.fetch_add(1);
-            obs::metrics_registry::global()
-                .counter("index.shard.migrate")
-                .add(1);
             attempt = 0;
           }
         }
@@ -790,7 +704,10 @@ search_outcome index_query_session::query(const std::vector<query_spec>& queries
       const pipeline_metrics now = sl.total_metrics();
       std::lock_guard lock(merge_mu);
       out.records.insert(out.records.end(), local.begin(), local.end());
-      merge_pipeline_metrics(out.metrics, metrics_delta(now, sl.reported));
+      // Pipeline metrics accumulate over the slot's lifetime; report this
+      // call's delta so repeat queries never double-count earlier ones.
+      out.metrics.per_queue.push_back(now - sl.reported);
+      out.metrics.pipeline += out.metrics.per_queue.back();
       sl.reported = now;
       out.metrics.recovery.overflow_retries += overflow_retries;
       out.metrics.recovery.recovered_overflows += recovered;
@@ -830,12 +747,7 @@ search_outcome run_query(const genome_index& idx,
   fault::scope fault_guard(opt.faults);
   index_query_session session(idx, opt);
   search_outcome out = session.query(queries);
-  if (obs::enabled()) {
-    if (!opt.trace_out.empty()) obs::write_trace(opt.trace_out);
-    if (!opt.metrics_json.empty()) {
-      obs::metrics_registry::global().write_json(opt.metrics_json);
-    }
-  }
+  write_run_obs(opt);
   return out;
 }
 

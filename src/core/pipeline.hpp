@@ -79,6 +79,31 @@ struct pipeline_metrics {
   util::u64 d2h_bytes = 0;
   util::u64 total_loci = 0;       // finder hits across chunks
   util::u64 total_entries = 0;    // comparer entries across chunks/queries
+
+  /// Field-wise sum: folds one pipeline's accounting into a running total.
+  pipeline_metrics& operator+=(const pipeline_metrics& o) {
+    kernel_nanos += o.kernel_nanos;
+    finder_launches += o.finder_launches;
+    comparer_launches += o.comparer_launches;
+    h2d_bytes += o.h2d_bytes;
+    d2h_bytes += o.d2h_bytes;
+    total_loci += o.total_loci;
+    total_entries += o.total_entries;
+    return *this;
+  }
+  /// Field-wise difference: a long-lived pipeline's accounting since an
+  /// earlier snapshot (metrics only ever grow, so no field goes negative).
+  pipeline_metrics operator-(const pipeline_metrics& o) const {
+    pipeline_metrics d = *this;
+    d.kernel_nanos -= o.kernel_nanos;
+    d.finder_launches -= o.finder_launches;
+    d.comparer_launches -= o.comparer_launches;
+    d.h2d_bytes -= o.h2d_bytes;
+    d.d2h_bytes -= o.d2h_bytes;
+    d.total_loci -= o.total_loci;
+    d.total_entries -= o.total_entries;
+    return d;
+  }
 };
 
 /// Completion handle for async pipeline operations. Both simulated runtimes

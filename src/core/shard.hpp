@@ -6,9 +6,9 @@
 // one byte-identical record stream for any device count.
 //
 // Failure model: a device that exhausts its bounded retries is marked
-// failed; its queue closes, unprocessed chunks are reassigned to the
-// survivors, and the run completes degraded. When the last device dies the
-// run fails with the original site-named error.
+// failed, and each worker bound to it migrates to a survivor with its
+// pending work (recovery_policy::migrate); the run completes degraded. When
+// the last device dies the run fails with the original site-named error.
 #pragma once
 
 #include <atomic>
@@ -48,8 +48,8 @@ class device_set {
   /// Mark device d failed (idempotent); returns the number of survivors.
   usize mark_failed(usize d);
 
-  /// Some alive device, preferring `hint` if it still lives. Dies if none
-  /// survive — callers must check alive_count() first on the failure path.
+  /// Some alive device, preferring `hint` if it still lives; size() (an
+  /// invalid ordinal) when none survive.
   usize pick_alive(usize hint) const;
 
  private:

@@ -442,7 +442,7 @@ TEST(FaultSites, DeterministicAcrossRuns) {
 //
 // Multi-device runs add per-device fault targeting (`site@N` kills only the
 // consumers bound to shard ordinal N) and one new site of their own:
-// shard.assign, the producer/reassignment chunk-to-device decision. The
+// shard.assign, the producer's chunk-to-device decision. The
 // contract mirrors the single-device matrix — a partial failure degrades to
 // the survivors byte-identically, a total failure surfaces the injected
 // site cleanly with no spill leftovers.
@@ -477,9 +477,9 @@ TEST_P(ShardFaults, OneDeviceDyingDegradesToSurvivorsByteIdentically) {
   ASSERT_EQ(degraded.device_shards.size(), 2u);
   EXPECT_FALSE(degraded.device_shards[0].failed) << site;
   EXPECT_TRUE(degraded.device_shards[1].failed) << site;
-  // The survivor did real work, and the per-shard counters still account
-  // for every take (a chunk the dead device took before dying is counted
-  // there AND on the survivor that re-ran it after reassignment).
+  // The survivor did real work, and the per-shard counters account for
+  // every take exactly once (a chunk is counted on the device that took it,
+  // even when its consumer then migrated and finished it on the survivor).
   EXPECT_GE(degraded.device_shards[0].chunks, 1u) << site;
   util::u64 taken = 0;
   for (const auto& ds : degraded.device_shards) taken += ds.chunks;
@@ -501,10 +501,10 @@ INSTANTIATE_TEST_SUITE_P(PerDeviceSites, ShardFaults,
                          });
 
 /// A launch fault that keeps firing past the bounded retries on a device
-/// mid-run (not dead on arrival) must hand the in-flight chunk to the
-/// survivor — the reassignment counter proves the degradation path ran,
+/// mid-run (not dead on arrival) must move the consumer, chunk in hand, to
+/// the survivor — the migration counter proves the degradation path ran,
 /// and the records still match.
-TEST(ShardFaults, MidRunLaunchDeathReassignsPendingWork) {
+TEST(ShardFaults, MidRunLaunchDeathMigratesPendingWork) {
   temp_dir dir;
   const auto c = make_case(dir, 115, 6);
   cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 6000};
@@ -515,14 +515,47 @@ TEST(ShardFaults, MidRunLaunchDeathReassignsPendingWork) {
   // dev.launch only fires at kernel launch, so device 1 builds its
   // pipeline fine, takes work, burns the bounded retries (each rebuild
   // succeeds — dev.alloc is not armed), then degrades: the full
-  // retry-then-degrade arc, not dead-on-arrival.
+  // retry-then-migrate arc, not dead-on-arrival.
   opt.faults = "dev.launch@1=always";
   const auto degraded = cof::run_search_streaming(c.cfg, c.file, opt);
   EXPECT_EQ(degraded.records, clean.records);
   EXPECT_TRUE(degraded.device_shards[1].failed);
   if (degraded.device_shards[1].chunks != 0) {
-    // Device 1 took work before dying: that work must have been reassigned.
-    EXPECT_GE(degraded.shard_reassigns, 1u);
+    // Device 1 took work before dying: its consumer must have migrated.
+    EXPECT_GE(degraded.shard_migrations, 1u);
+  }
+}
+
+/// Liveness: a device dying while the producer is already at (or near) end
+/// of input must still let the run finish. A tiny genome keeps the whole
+/// input inside the queues' lookahead, so the producer closes every queue
+/// while device 1's consumers are still burning their retries; four
+/// consumers per device oversubscribe the cores so the interleavings vary.
+/// Every repetition must complete with the clean run's records.
+TEST(ShardFaults, DeviceDeathNearEndOfInputCompletes) {
+  temp_dir dir;
+  genome::synth_params p;
+  p.assembly = "fault-tiny";
+  p.chromosomes = {{"chrA", 5000}, {"chrB", 2500}};
+  p.seed = 119;
+  auto g = genome::generate(p);
+  auto cfg = cof::parse_input(cof::example_input("<file>"));
+  const std::string guide = cfg.queries[0].seq.substr(0, 20) + "NGG";
+  genome::plant_sites(g, guide, cfg.pattern, 4, 2, 120);
+  const std::string file = (dir.path / "g.fa").string();
+  genome::write_fasta_file(file, g.chroms);
+
+  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 1000};
+  opt.num_devices = 2;
+  opt.num_queues = 4;
+  const auto clean = cof::run_search_streaming(cfg, file, opt);
+  ASSERT_FALSE(clean.records.empty());
+
+  opt.faults = "dev.launch@1=always";
+  for (int rep = 0; rep < 50; ++rep) {
+    const auto degraded = cof::run_search_streaming(cfg, file, opt);
+    ASSERT_EQ(degraded.records, clean.records) << "rep " << rep;
+    ASSERT_EQ(degraded.metrics.chunks, clean.metrics.chunks) << "rep " << rep;
   }
 }
 
@@ -595,7 +628,9 @@ TEST(ShardFaults, IndexSessionMigratesOffADeadDevice) {
   EXPECT_GE(faulted_s.device_migrations(), 1u);
   // The survivor owns every resident chunk now.
   for (const auto& d : faulted_s.device_residency()) {
-    if (!d.alive) EXPECT_EQ(d.resident_bytes, 0u);
+    if (!d.alive) {
+      EXPECT_EQ(d.resident_bytes, 0u);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "gtest_compat.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -249,11 +250,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamFuzz, ::testing::Range(1, 9));
 
 namespace {
 
-/// The async pipeline (decode overlap + single batched comparer launch +
+/// Record bytes an in-memory engine holds for `records` — the whole set at
+/// once, the contrast the streaming spill writer exists to avoid.
+util::usize record_set_bytes(const std::vector<cof::ot_record>& records) {
+  util::usize bytes = 0;
+  for (const auto& r : records) bytes += sizeof(cof::ot_record) + r.site.size();
+  return bytes;
+}
+
+/// The streaming pipeline (decode overlap + single batched comparer launch +
 /// deferred downloads + pool-side formatting) must be bit-identical to the
-/// synchronous per-query loop, including chrom bookkeeping and chunk-boundary
-/// overlap sites.
-TEST(StreamingAsync, MatchesSynchronousLoop) {
+/// serial oracle, with the in-memory chunker's chunk geometry and the
+/// genome's chrom bookkeeping, including chunk-boundary overlap sites.
+TEST(StreamingAsync, MatchesSerialOracleAndChunkGeometry) {
   temp_dir dir;
   auto g = stream_genome(64);
   auto cfg = cof::parse_input(cof::example_input("<file>"));
@@ -262,24 +271,46 @@ TEST(StreamingAsync, MatchesSynchronousLoop) {
   const auto file = dir.path / "g.fa";
   genome::write_fasta_file(file.string(), g.chroms);
 
-  cof::engine_options async_opt{.backend = cof::backend_kind::sycl,
-                                .max_chunk = 7000};
-  async_opt.stream_async = true;
-  cof::engine_options sync_opt = async_opt;
-  sync_opt.stream_async = false;
+  const auto reference =
+      cof::run_search(cfg, g, {.backend = cof::backend_kind::serial});
+  ASSERT_FALSE(reference.records.empty());
+  const util::usize max_chunk = 7000;
+  const auto chunks = genome::make_chunks(g, max_chunk, cfg.pattern.size() - 1);
+  util::usize peak_chunk = 0;
+  for (const auto& ch : chunks) peak_chunk = std::max(peak_chunk, ch.length);
 
-  const auto a = cof::run_search_streaming(cfg, file.string(), async_opt);
-  const auto s = cof::run_search_streaming(cfg, file.string(), sync_opt);
-  EXPECT_EQ(a.records, s.records);
-  EXPECT_EQ(a.chrom_names, s.chrom_names);
-  EXPECT_EQ(a.streamed_bases, s.streamed_bases);
-  EXPECT_EQ(a.metrics.chunks, s.metrics.chunks);
-  EXPECT_EQ(a.peak_chunk_bytes, s.peak_chunk_bytes);
+  const auto a = cof::run_search_streaming(
+      cfg, file.string(),
+      {.backend = cof::backend_kind::sycl, .max_chunk = max_chunk});
+  EXPECT_EQ(a.records, reference.records);
+  ASSERT_EQ(a.chrom_names.size(), g.chroms.size());
+  for (util::usize c = 0; c < g.chroms.size(); ++c) {
+    EXPECT_EQ(a.chrom_names[c], g.chroms[c].name);
+  }
+  EXPECT_EQ(a.streamed_bases, g.total_bases());
+  EXPECT_EQ(a.metrics.chunks, chunks.size());
+  EXPECT_EQ(a.peak_chunk_bytes, peak_chunk);
 }
 
-/// Per-chunk comparer launches drop from num_queries to exactly 1 on the
-/// async path: for every chunk with finder hits, the sync loop launches once
-/// per query, the async path once total.
+/// Chunks of the in-memory chunker holding at least one PAM site, by the
+/// serial oracle: an all-N guide matches every PAM site with no mismatch.
+util::usize chunks_with_pam_sites(const genome::genome_t& g,
+                                  const std::string& pattern,
+                                  util::usize max_chunk) {
+  const std::vector<cof::query_spec> any_site = {
+      {std::string(pattern.size(), 'N'), 0}};
+  util::usize n = 0;
+  for (const auto& ch : genome::make_chunks(g, max_chunk, pattern.size() - 1)) {
+    genome::genome_t one;
+    one.chroms.push_back({"chunk", std::string(genome::chunk_view(g, ch))});
+    if (!cof::serial_search(pattern, any_site, one).empty()) ++n;
+  }
+  return n;
+}
+
+/// The streaming engine issues exactly ONE batched comparer launch per
+/// chunk with finder hits, whatever the query count (the paper's loop
+/// launches once per query), and one finder launch per chunk.
 TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
   temp_dir dir;
   auto g = stream_genome(65);
@@ -288,19 +319,19 @@ TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
   const auto file = dir.path / "g.fa";
   genome::write_fasta_file(file.string(), g.chroms);
 
-  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 6000};
-  opt.stream_async = true;
+  const util::usize max_chunk = 6000;
+  cof::engine_options opt{.backend = cof::backend_kind::sycl,
+                          .max_chunk = max_chunk};
   const auto a = cof::run_search_streaming(cfg, file.string(), opt);
-  opt.stream_async = false;
-  const auto s = cof::run_search_streaming(cfg, file.string(), opt);
 
-  // Both paths chunk identically, so chunks-with-hits agree; the async count
-  // is one launch per such chunk, the sync count num_queries per chunk.
-  EXPECT_EQ(a.metrics.pipeline.comparer_launches * cfg.queries.size(),
-            s.metrics.pipeline.comparer_launches);
+  const util::usize with_hits = chunks_with_pam_sites(g, cfg.pattern, max_chunk);
+  ASSERT_GT(with_hits, 0u);
+  EXPECT_EQ(a.metrics.pipeline.comparer_launches, with_hits);
   EXPECT_LE(a.metrics.pipeline.comparer_launches, a.metrics.chunks);
-  EXPECT_EQ(a.metrics.pipeline.finder_launches, s.metrics.pipeline.finder_launches);
-  EXPECT_EQ(a.records, s.records);
+  EXPECT_EQ(a.metrics.pipeline.finder_launches, a.metrics.chunks);
+  const auto reference =
+      cof::run_search(cfg, g, {.backend = cof::backend_kind::serial});
+  EXPECT_EQ(a.records, reference.records);
 }
 
 /// Every device backend must produce the serial reference's records through
@@ -319,8 +350,8 @@ TEST_P(StreamBackends, AsyncStreamedMatchesSerialReference) {
 
   const auto reference =
       cof::run_search(cfg, g, {.backend = cof::backend_kind::serial});
+  ASSERT_FALSE(reference.records.empty());
   cof::engine_options opt{.backend = GetParam(), .max_chunk = 9000};
-  opt.stream_async = true;
   const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
   EXPECT_EQ(streamed.records, reference.records);
 }
@@ -345,7 +376,6 @@ TEST(StreamingAsync, SiteAtExactChunkBoundary) {
   auto cfg = cof::parse_input(cof::example_input("<file>"));
   cof::engine_options opt{.backend = cof::backend_kind::sycl,
                           .max_chunk = chunk_size};
-  opt.stream_async = true;
   const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
   bool found = false;
   for (const auto& rec : streamed.records) {
@@ -366,7 +396,7 @@ namespace {
 /// chunk boundary. The streaming reader used to emit the carried overlap as
 /// a degenerate trailing chunk — bases already scanned as the tail of the
 /// previous chunk — inflating metrics.chunks past the in-memory chunker's
-/// count. Both streaming paths must now match genome::make_chunks exactly.
+/// count. The streaming engine must now match genome::make_chunks exactly.
 class StreamBoundary : public ::testing::TestWithParam<cof::backend_kind> {};
 
 TEST_P(StreamBoundary, ExactMultipleRecordHasNoCarryOnlyChunk) {
@@ -391,14 +421,11 @@ TEST_P(StreamBoundary, ExactMultipleRecordHasNoCarryOnlyChunk) {
 
   const auto mem =
       cof::run_search(cfg, g, {.backend = cof::backend_kind::serial});
-  for (const bool async : {false, true}) {
-    cof::engine_options opt{.backend = GetParam(), .max_chunk = chunk_size};
-    opt.stream_async = async;
-    const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
-    EXPECT_EQ(streamed.metrics.chunks, chunks.size()) << "async=" << async;
-    EXPECT_EQ(streamed.streamed_bases, len) << "async=" << async;
-    EXPECT_EQ(streamed.records, mem.records) << "async=" << async;
-  }
+  cof::engine_options opt{.backend = GetParam(), .max_chunk = chunk_size};
+  const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
+  EXPECT_EQ(streamed.metrics.chunks, chunks.size());
+  EXPECT_EQ(streamed.streamed_bases, len);
+  EXPECT_EQ(streamed.records, mem.records);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StreamBoundary,
@@ -489,26 +516,29 @@ TEST_P(StreamMultiQueue, ByteIdenticalForAnyQueueCount) {
   const auto file = dir.path / "g.fa";
   genome::write_fasta_file(file.string(), g.chroms);
 
-  cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 5000};
+  const util::usize max_chunk = 5000;
+  cof::engine_options opt{.backend = cof::backend_kind::sycl,
+                          .max_chunk = max_chunk};
   const auto mem = cof::run_search(cfg, g, opt);
-  opt.stream_async = false;
-  const auto sync = cof::run_search_streaming(cfg, file.string(), opt);
-  opt.stream_async = true;
+  ASSERT_FALSE(mem.records.empty());
   opt.num_queues = GetParam();
   const auto streamed = cof::run_search_streaming(cfg, file.string(), opt);
 
   EXPECT_EQ(streamed.records, mem.records);
-  EXPECT_EQ(streamed.chrom_names, sync.chrom_names);
-  EXPECT_EQ(streamed.metrics.chunks, sync.metrics.chunks);
+  ASSERT_EQ(streamed.chrom_names.size(), g.chroms.size());
+  for (util::usize c = 0; c < g.chroms.size(); ++c) {
+    EXPECT_EQ(streamed.chrom_names[c], g.chroms[c].name);
+  }
+  EXPECT_EQ(streamed.metrics.chunks,
+            genome::make_chunks(g, max_chunk, cfg.pattern.size() - 1).size());
   ASSERT_EQ(streamed.metrics.per_queue.size(), GetParam());
   EXPECT_EQ(streamed.total_records, streamed.records.size());
   EXPECT_GE(streamed.spill_runs, 1u);
-  ASSERT_FALSE(streamed.records.empty());
-  // Bounded-memory accounting: the async path holds at most one formatted
-  // batch per queue at a time, so its peak must undercut the sync loop's
-  // whole accumulated record set.
+  // Bounded-memory accounting: the streaming engine holds at most one
+  // formatted batch per queue at a time, so its peak must undercut the
+  // in-memory engine's whole record set.
   EXPECT_GT(streamed.peak_record_bytes, 0u);
-  EXPECT_LT(streamed.peak_record_bytes, sync.peak_record_bytes);
+  EXPECT_LT(streamed.peak_record_bytes, record_set_bytes(mem.records));
 }
 
 INSTANTIATE_TEST_SUITE_P(Queues, StreamMultiQueue,
@@ -528,24 +558,18 @@ TEST(StreamingSearch, RecordSinkReceivesCanonicalRecords) {
 
   cof::engine_options opt{.backend = cof::backend_kind::sycl, .max_chunk = 6000};
   const auto mem = cof::run_search(cfg, g, opt);
+  ASSERT_FALSE(mem.records.empty());
 
-  opt.num_queues = 2;
-  std::vector<cof::ot_record> sunk;
-  const auto streamed = cof::run_search_streaming(
-      cfg, file.string(), opt,
-      [&sunk](cof::ot_record&& r) { sunk.push_back(std::move(r)); });
-  EXPECT_TRUE(streamed.records.empty());
-  EXPECT_EQ(streamed.total_records, sunk.size());
-  EXPECT_EQ(sunk, mem.records);
-
-  opt.stream_async = false;
-  opt.num_queues = 1;
-  std::vector<cof::ot_record> sunk_sync;
-  const auto s = cof::run_search_streaming(
-      cfg, file.string(), opt,
-      [&sunk_sync](cof::ot_record&& r) { sunk_sync.push_back(std::move(r)); });
-  EXPECT_TRUE(s.records.empty());
-  EXPECT_EQ(sunk_sync, mem.records);
+  for (const util::usize queues : {util::usize{2}, util::usize{1}}) {
+    opt.num_queues = queues;
+    std::vector<cof::ot_record> sunk;
+    const auto streamed = cof::run_search_streaming(
+        cfg, file.string(), opt,
+        [&sunk](cof::ot_record&& r) { sunk.push_back(std::move(r)); });
+    EXPECT_TRUE(streamed.records.empty()) << "queues=" << queues;
+    EXPECT_EQ(streamed.total_records, sunk.size()) << "queues=" << queues;
+    EXPECT_EQ(sunk, mem.records) << "queues=" << queues;
+  }
 }
 
 }  // namespace
