@@ -5,7 +5,10 @@
 // lane rows and the COF_FORCE_SCALAR per-item fallback; they only diverge
 // at opt6, where the lane body exists). A second section isolates the
 // executor ablation: the same comparer launch on the fiber scheduler vs the
-// two-phase single-leading-barrier fast path. Emits BENCH_opt_ladder.json.
+// two-phase single-leading-barrier fast path. Guide sites are planted into
+// the chunk so every variant exercises the entry append; the bench exits
+// non-zero if any variant finds none or the executor paths diverge. Emits
+// BENCH_opt_ladder.json.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -15,6 +18,7 @@
 #include "bench_common.hpp"
 #include "core/kernels.hpp"
 #include "core/pipeline.hpp"
+#include "genome/synth.hpp"
 #include "util/cli.hpp"
 #include "util/cpufeat.hpp"
 #include "util/log.hpp"
@@ -28,6 +32,10 @@ using util::u64;
 
 constexpr const char* kPattern = "NNNNNNNNNNNNNNNNNNNNNRG";
 constexpr const char* kQuery = "GGCCGACCTGTCGCTGACGCNNN";
+// kQuery with a concrete PAM: the sites planted into the chunk.
+constexpr const char* kPlantGuide = "GGCCGACCTGTCGCTGACGCNGG";
+constexpr usize kPlantCount = 32;
+constexpr unsigned kPlantMismatches = 3;  // within the threshold of 5
 
 struct variant_row {
   std::string name;
@@ -218,7 +226,7 @@ exec_result measure_executor(const std::string& chunk, const device_pattern& pat
 
   auto [fib_ns, fib_entries] = launch(false);
   auto [two_ns, two_entries] = launch(true);
-  return {fib_ns, two_ns, fib_entries == two_entries};
+  return {fib_ns, two_ns, !fib_entries.empty() && fib_entries == two_entries};
 }
 
 }  // namespace
@@ -243,14 +251,17 @@ int main(int argc, char** argv) {
               util::simd_lanes_enabled() ? "avx2" : "disabled (scalar)");
 
   auto g = genome::generate(genome::hg19_like(scale, 11));
-  const auto& seq = g.chroms[0].seq;
-  const std::string chunk(seq.data(), seq.size());
+  genome::genome_t one;
+  one.chroms.push_back(std::move(g.chroms[0]));
+  genome::plant_sites(one, kPlantGuide, kPattern, kPlantCount, kPlantMismatches, 12);
+  const std::string& chunk = one.chroms[0].seq;
   const auto pat = make_pattern(kPattern);
   const auto query = make_query(kQuery);
   std::printf("chunk: %zu bases (hg19/%llu largest chromosome)\n\n", chunk.size(),
               static_cast<unsigned long long>(scale));
 
   std::vector<variant_row> rows;
+  bool all_entries = true;
   for (int v = 0; v < kNumComparerVariants; ++v) {
     rows.push_back(measure_variant(static_cast<comparer_variant>(v), chunk, pat,
                                    query, reps));
@@ -265,6 +276,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.mask_ops),
                 static_cast<unsigned long long>(r.swar_ops),
                 static_cast<unsigned long long>(r.entries));
+    all_entries = all_entries && r.entries > 0;
   }
 
   const exec_result ex = measure_executor(chunk, pat, query, reps);
@@ -318,5 +330,9 @@ int main(int argc, char** argv) {
                ex.identical ? "true" : "false");
   std::fclose(f);
   std::printf("\nwrote %s\n", out.c_str());
+  if (!all_entries) {
+    std::fprintf(stderr, "a variant found no entries on the planted chunk\n");
+    return 2;
+  }
   return ex.identical ? 0 : 2;
 }

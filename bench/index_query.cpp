@@ -140,9 +140,11 @@ int main(int argc, char** argv) {
               util::human_bytes(index_bytes).c_str(), 1e-9 * build_ns,
               1e-6 * load_ns);
 
+  // Every facade serves with the default base comparer (opt6 would re-pack
+  // the chunk text on every warm upload); cold and warm share the variant,
+  // so each ratio stays honest.
   const std::vector<backend_kind> facades = {
-      backend_kind::opencl, backend_kind::sycl, backend_kind::sycl_usm,
-      backend_kind::sycl_twobit};
+      backend_kind::opencl, backend_kind::sycl, backend_kind::sycl_usm};
   struct facade_result {
     u64 cold_ns = 0;
     u64 warm_ns = 0;
@@ -156,13 +158,6 @@ int main(int argc, char** argv) {
   bool identical = true;
   for (const auto backend : facades) {
     opt.backend = backend;
-    // Each facade serves with its fastest comparer: the 2-bit facade's
-    // scalar kernel re-decodes packed bases per compare, so its opt6 SWAR
-    // twin wins there; the char-resident facades are fastest on the base
-    // kernel (opt6 would re-pack the chunk text on every warm upload).
-    // Cold and warm share the variant, so each ratio stays honest.
-    opt.variant = backend == backend_kind::sycl_twobit ? comparer_variant::opt6
-                                                       : comparer_variant::base;
     facade_result r;
     std::vector<ot_record> cold_records;
     r.cold_ns = best_of(reps, [&] {

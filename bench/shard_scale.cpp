@@ -4,7 +4,9 @@
 //
 //   measured  — wall-clock bases/s of the CPU simulation at devices
 //               {1, 2, 4}, with byte-identity against the single-device
-//               reference checked on every row (exit 2 on divergence) and
+//               reference checked on every row (exit 2 on divergence, or
+//               when the reference is empty: every query has planted
+//               sites, so an empty reference is a broken search) and
 //               the per-device chunk/steal/stage metrics recorded. Wall
 //               scaling here is capped by the host core count (the devices
 //               are simulated on the same cores), so the wall numbers are a
@@ -44,6 +46,8 @@ using util::usize;
 // per-chunk serial overheads are what the extra devices absorb.
 constexpr const char* kPattern = "NNNNNNNNNNNNNNNNNNNNNNG";
 constexpr usize kNumQueries = 8;
+// Sites planted per query, at exactly the query's mismatch threshold.
+constexpr usize kPlantPerQuery = 4;
 
 std::vector<query_spec> make_queries(const genome::genome_t& g) {
   std::vector<query_spec> qs;
@@ -118,15 +122,19 @@ int main(int argc, char** argv) {
 
   auto g = genome::generate(genome::hg19_like(scale, 17));
   const u64 bases = g.total_bases();
+  search_config cfg;
+  cfg.pattern = kPattern;
+  cfg.queries = make_queries(g);
+  for (usize q = 0; q < cfg.queries.size(); ++q) {
+    const auto& spec = cfg.queries[q];
+    genome::plant_sites(g, spec.seq.substr(0, 20) + "NNG", cfg.pattern,
+                        kPlantPerQuery, spec.max_mismatches, 100 + q);
+  }
   const auto fasta =
       (std::filesystem::temp_directory_path() /
        ("cof_bench_shard_" + std::to_string(::getpid()) + ".fa"))
           .string();
   genome::write_fasta_file(fasta, g.chroms);
-
-  search_config cfg;
-  cfg.pattern = kPattern;
-  cfg.queries = make_queries(g);
   std::printf("genome: %llu bases, %zu chromosomes; %zu queries, chunk %llu, "
               "%llu queues/device\n\n",
               static_cast<unsigned long long>(bases), g.chroms.size(),
@@ -151,6 +159,11 @@ int main(int argc, char** argv) {
   opt.shard = shard_policy::least_loaded;
   const mode_result ll = run_mode(cfg, fasta, opt, reps);
   std::filesystem::remove(fasta);
+  if (runs[0].total_records == 0) {
+    std::fprintf(stderr, "reference run found no records; identity would be "
+                         "vacuous\n");
+    return 2;
+  }
 
   const auto bps = [bases](u64 nanos) {
     return 1e9 * static_cast<double>(bases) / static_cast<double>(nanos);

@@ -8,6 +8,7 @@
 //   G  the simulated accelerator via the SYCL host program (as the paper's
 //      migrated application)
 //   O  the simulated accelerator via the OpenCL host program (the original)
+//   U  the simulated accelerator via the SYCL host program over USM
 // plus engine knobs for work-group size, comparer variant and chunk size.
 #include <atomic>
 #include <chrono>
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
   cli.positional("input", "input file (genome, pattern, queries)", true);
   cli.positional("device",
                  "C = serial CPU, O = OpenCL host, G/S = SYCL host (buffers), "
-                 "U = SYCL host (USM), P = SYCL host (2-bit packed)",
+                 "U = SYCL host (USM)",
                  false);
   cli.positional("output", "output file ('-' or empty = stdout)", false);
   cli.opt("wg", "work-group size (0 = backend default)", "0");
@@ -132,8 +133,7 @@ int main(int argc, char** argv) {
       opt.backend = cof::backend_kind::sycl;
       break;
     case 'U': case 'u': opt.backend = cof::backend_kind::sycl_usm; break;
-    case 'P': case 'p': opt.backend = cof::backend_kind::sycl_twobit; break;
-    default: util::die("unknown device (use C, O, G or S): " + dev);
+    default: util::die("unknown device (use C, O, G, S or U): " + dev);
   }
   opt.wg_size = cli.get_u64("wg");
   opt.max_chunk = cli.get_u64("chunk");
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   if (!cli.get("build-index").empty()) {
     const std::string ipath = cli.get("build-index");
     COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--build-index needs a device backend (O, G, S, U or P)");
+                  "--build-index needs a device backend (O, G, S or U)");
     util::stopwatch bsw;
     try {
       // Standalone build runs outside the engines, so arm the fault
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   // request written as soon as its future resolves, in submission order.
   if (cli.get_flag("serve")) {
     COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--serve needs a device backend (O, G, S, U or P)");
+                  "--serve needs a device backend (O, G, S or U)");
     obs::run_scope obs_guard(!opt.trace_out.empty() ||
                              !opt.metrics_json.empty());
     fault::scope fault_guard(opt.faults);
@@ -376,7 +376,7 @@ int main(int argc, char** argv) {
   // without --stream: warm runs never decode FASTA or launch the finder.
   if (cli.get_flag("stream") || !opt.index_path.empty()) {
     COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--stream needs a device backend (O, G, S, U or P)");
+                  "--stream needs a device backend (O, G, S or U)");
     // Unrecoverable failures (exhausted fault retries, stalled queues)
     // surface as exceptions with the failing site in the message; report
     // them as a clean fatal error instead of std::terminate.

@@ -12,7 +12,6 @@
 #include "genome/fasta.hpp"
 #include "genome/twobit_file.hpp"
 #include "genome/synth.hpp"
-#include "genome/twobit.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -63,13 +62,6 @@ int main(int argc, char** argv) {
                   s.position, s.strand, s.written.c_str());
     }
   }
-
-  // 2-bit footprint comparison (the upstream memory optimisation).
-  util::usize packed = 0;
-  for (const auto& c : g.chroms) packed += genome::twobit_seq::encode(c.seq).packed_bytes();
-  std::printf("2-bit packed footprint: %s (%.1fx smaller than char)\n",
-              util::human_bytes(packed).c_str(),
-              static_cast<double>(g.total_bases()) / static_cast<double>(packed));
 
   const std::string out = cli.get("out");
   if (!out.empty()) {

@@ -20,7 +20,6 @@ const char* backend_name(backend_kind k) {
     case backend_kind::opencl: return "opencl";
     case backend_kind::sycl: return "sycl";
     case backend_kind::sycl_usm: return "sycl-usm";
-    case backend_kind::sycl_twobit: return "sycl-2bit";
   }
   return "?";
 }
@@ -36,7 +35,6 @@ std::unique_ptr<device_pipeline> make_pipeline(const engine_options& opt,
   switch (opt.backend) {
     case backend_kind::opencl: return make_opencl_pipeline(popt);
     case backend_kind::sycl_usm: return make_sycl_usm_pipeline(popt);
-    case backend_kind::sycl_twobit: return make_sycl_twobit_pipeline(popt);
     default: return make_sycl_pipeline(popt);
   }
 }
@@ -69,7 +67,7 @@ search_outcome run_search(const search_config& cfg, const genome::genome_t& g,
   // finder over every chunk.
   if (opt.index != nullptr || !opt.index_path.empty()) {
     COF_CHECK_MSG(opt.backend != backend_kind::serial,
-                  "index queries drive a device pipeline (pick O, G, S, U or P)");
+                  "index queries drive a device pipeline (pick O, G, S or U)");
     genome_index owned;
     const genome_index* idx = opt.index;
     bool cache_hit = idx != nullptr;  // prebuilt in memory counts as warm

@@ -18,7 +18,7 @@ namespace cof {
 
 struct genome_index;  // core/index.hpp
 
-enum class backend_kind { serial, opencl, sycl, sycl_usm, sycl_twobit };
+enum class backend_kind { serial, opencl, sycl, sycl_usm };
 
 const char* backend_name(backend_kind k);
 
@@ -35,8 +35,8 @@ struct engine_options {
   /// Compare every query in one kernel launch per chunk (the batched
   /// multi-query comparer extension) instead of one launch per query as in
   /// the paper / upstream. Results identical; loci/flag traffic amortised.
-  /// Supported by the buffer-based SYCL pipeline; other backends fall back
-  /// to per-query launches.
+  /// Every device backend (OpenCL, buffer SYCL, USM) has its own
+  /// comparer_multi kernel, so this is one launch per chunk on each.
   bool batch_queries = false;
   /// Host threads, each driving its own pipeline over a shared chunk queue
   /// — the multi-device extension the paper marks as future work ("the SYCL

@@ -319,7 +319,7 @@ __kernel void comparer_multi(unsigned int locicnts, __global char* chr,
 /* opt6: two-bit SWAR comparer. The chunk additionally travels as 2-bit
  * packed codes (32 bases per ulong) plus ambiguity flags in the same
  * geometry; the host precomputes, per query half and per 32-base word, one
- * 64-bit deny mask for each reference code (plus a fifth 'N' mask). One
+ * 64-bit deny mask for each concrete reference code (A, C, G, T). One
  * word evaluation replaces up to 32 opt5 iterations; ambiguous reference
  * positions fall back to the opt5 LUT against the raw chars. */
 __kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr,
@@ -341,7 +341,7 @@ __kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr
   unsigned int i = get_global_id(0);
   unsigned int li = i - get_group_id(0) * get_local_size(0);
   const ulong even = 0x5555555555555555UL;
-  for (unsigned int k = li; k < 2 * swar_words * 5; k += get_local_size(0))
+  for (unsigned int k = li; k < 2 * swar_words * 4; k += get_local_size(0))
     l_comp_swar[k] = comp_swar[k];
   for (unsigned int k = li; k < plen * 2; k += get_local_size(0))
     l_comp_mask[k] = comp_mask[k];
@@ -351,7 +351,7 @@ __kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr
   unsigned int locus = loci[i];
   for (int half = 0; half < 2; half++) {
     if (!(f == 0 || f == (char)(half + 1))) continue;
-    unsigned int sbase = (unsigned int)half * swar_words * 5;
+    unsigned int sbase = (unsigned int)half * swar_words * 4;
     unsigned int mbase = (unsigned int)half * plen;
     unsigned int shift = 2u * (locus & 31u);
     unsigned int wi = locus >> 5;
@@ -369,7 +369,7 @@ __kernel void comparer_opt6(unsigned int locicnts, __global char* __restrict chr
       for (int c = 0; c < 4; c++) {
         ulong bc = c == 0 ? 0UL : (c == 1 ? even : (c == 2 ? ~even : ~0UL));
         ulong t = ~(ref ^ bc);
-        mm |= t & (t >> 1) & even & l_comp_swar[sbase + w * 5 + c];
+        mm |= t & (t >> 1) & even & l_comp_swar[sbase + w * 4 + c];
       }
       lmm += (unsigned short)popcount(mm & ~amb);
       ulong rest = amb;
@@ -416,7 +416,7 @@ __kernel void comparer_multi_opt6(unsigned int locicnts,
   unsigned int i = get_global_id(0);
   unsigned int li = i - get_group_id(0) * get_local_size(0);
   const ulong even = 0x5555555555555555UL;
-  for (unsigned int k = li; k < nqueries * 2 * swar_words * 5; k += get_local_size(0))
+  for (unsigned int k = li; k < nqueries * 2 * swar_words * 4; k += get_local_size(0))
     l_comp_swar[k] = comp_swar[k];
   for (unsigned int k = li; k < nqueries * plen * 2; k += get_local_size(0))
     l_comp_mask[k] = comp_mask[k];
@@ -428,7 +428,7 @@ __kernel void comparer_multi_opt6(unsigned int locicnts,
     unsigned short threshold = thresholds[q];
     for (int half = 0; half < 2; half++) {
       if (!(f == 0 || f == (char)(half + 1))) continue;
-      unsigned int sbase = (q * 2 + (unsigned int)half) * swar_words * 5;
+      unsigned int sbase = (q * 2 + (unsigned int)half) * swar_words * 4;
       unsigned int mbase = (q * 2 + (unsigned int)half) * plen;
       unsigned int shift = 2u * (locus & 31u);
       unsigned int wi = locus >> 5;
@@ -446,7 +446,7 @@ __kernel void comparer_multi_opt6(unsigned int locicnts,
         for (int c = 0; c < 4; c++) {
           ulong bc = c == 0 ? 0UL : (c == 1 ? even : (c == 2 ? ~even : ~0UL));
           ulong t = ~(ref ^ bc);
-          mm |= t & (t >> 1) & even & l_comp_swar[sbase + w * 5 + c];
+          mm |= t & (t >> 1) & even & l_comp_swar[sbase + w * 4 + c];
         }
         lmm += (unsigned short)popcount(mm & ~amb);
         ulong rest = amb;
@@ -649,7 +649,7 @@ void comparer_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
   comparer_opt6_unpack(a, ca);
   ca.l_comp_swar = a.local<u64>(16);
   ca.l_comp_mask = a.local<u16>(17);
-  comparer_swar_kernel<P, xpu::xitem, true>(it, ca);
+  comparer_swar_kernel<P, xpu::xitem>(it, ca);
 }
 
 /// Lane-batched row body (executor lane dispatch, profiling off only): no
@@ -659,7 +659,7 @@ void comparer_opt6_lanes(const oclsim::arg_view& a, usize first, usize nlanes) {
   comparer_opt6_unpack(a, ca);
   ca.l_comp_swar = const_cast<u64*>(ca.comp_swar);
   ca.l_comp_mask = const_cast<u16*>(ca.comp_mask);
-  comparer_swar_lanes<true>(ca, first, nlanes);
+  comparer_swar_lanes(ca, first, nlanes);
 }
 
 template <class P>
@@ -685,7 +685,7 @@ void comparer_multi_opt6_native(const oclsim::arg_view& a, xpu::xitem& it) {
   ca.entry_capacity = a.scalar<u32>(17);
   ca.l_comp_swar = a.local<u64>(18);
   ca.l_comp_mask = a.local<u16>(19);
-  comparer_multi_swar_kernel<P, xpu::xitem, true>(it, ca);
+  comparer_multi_swar_kernel<P, xpu::xitem>(it, ca);
 }
 
 const std::vector<oclsim::arg_kind> kComparerOpt6Sig = {
@@ -1104,12 +1104,6 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(clReleaseMemObject(dirm));
     COF_CL_CHECK(clReleaseMemObject(mlocim));
     return out;
-  }
-
-  entries run_comparer_batch(const std::vector<device_pattern>& queries,
-                             const std::vector<u16>& thresholds) override {
-    launch_comparer_batch(queries, thresholds);
-    return fetch_entries();
   }
 
   /// Batched comparer, launch half: one comparer_multi enqueue consumes the

@@ -118,12 +118,6 @@ class sycl_pipeline final : public device_pipeline {
                          : run_comparer_impl<direct_mem>(query, threshold);
   }
 
-  entries run_comparer_batch(const std::vector<device_pattern>& queries,
-                             const std::vector<u16>& thresholds) override {
-    launch_comparer_batch(queries, thresholds);
-    return fetch_entries();
-  }
-
   pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
                                    const std::vector<u16>& thresholds) override {
     obs::span sp("comparer.batch", "device");
@@ -429,7 +423,7 @@ class sycl_pipeline final : public device_pipeline {
          fill_args(a);
          a.l_comp_swar = l_swar.get_pointer();
          a.l_comp_mask = l_cmask.get_pointer();
-         comparer_swar_kernel<P, sycl::nd_item<1>, true>(item, a);
+         comparer_swar_kernel<P, sycl::nd_item<1>>(item, a);
        };
        if (opt_.counting) {
          cgh.parallel_for(ndr, kernel);
@@ -442,7 +436,7 @@ class sycl_pipeline final : public device_pipeline {
                // straight from the global arrays.
                a.l_comp_swar = cswar.get_pointer();
                a.l_comp_mask = cmask.get_pointer();
-               comparer_swar_lanes<true>(a, first, nlanes);
+               comparer_swar_lanes(a, first, nlanes);
              });
        }
      }).wait();
@@ -647,7 +641,7 @@ class sycl_pipeline final : public device_pipeline {
              a.entry_capacity = static_cast<u32>(cap);
              a.l_comp_swar = l_swar.get_pointer();
              a.l_comp_mask = l_cmask.get_pointer();
-             comparer_multi_swar_kernel<P, sycl::nd_item<1>, true>(item, a);
+             comparer_multi_swar_kernel<P, sycl::nd_item<1>>(item, a);
            });
      }).wait();
     const auto stats = q_.cof_last_launch();

@@ -108,12 +108,6 @@ class sycl_usm_pipeline final : public device_pipeline {
                          : run_comparer_impl<direct_mem>(query, threshold);
   }
 
-  entries run_comparer_batch(const std::vector<device_pattern>& queries,
-                             const std::vector<u16>& thresholds) override {
-    launch_comparer_batch(queries, thresholds);
-    return fetch_entries();
-  }
-
   pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
                                    const std::vector<u16>& thresholds) override {
     obs::span sp("comparer.batch", "device");
@@ -392,7 +386,7 @@ class sycl_usm_pipeline final : public device_pipeline {
          comparer_swar_args a = base;
          a.l_comp_swar = l_swar.get_pointer();
          a.l_comp_mask = l_cmask.get_pointer();
-         comparer_swar_kernel<P, sycl::nd_item<1>, true>(item, a);
+         comparer_swar_kernel<P, sycl::nd_item<1>>(item, a);
        };
        if (opt_.counting) {
          cgh.parallel_for(ndr, kernel);
@@ -403,7 +397,7 @@ class sycl_usm_pipeline final : public device_pipeline {
            // from the device-global arrays (read-only through these aliases).
            a.l_comp_swar = const_cast<util::u64*>(a.comp_swar);
            a.l_comp_mask = const_cast<u16*>(a.comp_mask);
-           comparer_swar_lanes<true>(a, first, nlanes);
+           comparer_swar_lanes(a, first, nlanes);
          });
        }
      }).wait();
@@ -616,8 +610,7 @@ class sycl_usm_pipeline final : public device_pipeline {
                           comparer_multi_swar_args a = base;
                           a.l_comp_swar = l_swar.get_pointer();
                           a.l_comp_mask = l_cmask.get_pointer();
-                          comparer_multi_swar_kernel<P, sycl::nd_item<1>, true>(item,
-                                                                                a);
+                          comparer_multi_swar_kernel<P, sycl::nd_item<1>>(item, a);
                         });
      }).wait();
     const auto stats = q_.cof_last_launch();

@@ -80,8 +80,8 @@ struct reader {
   }
 };
 
-/// 2-bit pack (A=0 C=1 G=2 T=3, LSB-first within each byte — the twobit_seq
-/// layout). Non-ACGT bases pack as 0 and are recorded as (position, raw
+/// 2-bit pack (A=0 C=1 G=2 T=3, four bases per byte, LSB-first within each
+/// byte). Non-ACGT bases pack as 0 and are recorded as (position, raw
 /// char) exceptions so the decode is byte-exact for any input.
 std::string pack_text(const std::string& text,
                       std::vector<std::pair<u32, char>>& exceptions) {
@@ -142,7 +142,7 @@ std::string describe_genome(const std::vector<std::string>& names, u64 bases) {
 genome_index build_index(const genome::genome_t& g, const std::string& pattern,
                          const engine_options& opt) {
   COF_CHECK_MSG(opt.backend != backend_kind::serial,
-                "build_index drives a device pipeline (pick O, G, S, U or P)");
+                "build_index drives a device pipeline (pick O, G, S or U)");
   obs::span sp("index.build", "engine");
   genome_index idx;
   idx.pattern = pattern;
@@ -503,7 +503,7 @@ index_query_session::index_query_session(const genome_index& idx,
                                          const engine_options& opt)
     : idx_(idx), opt_(opt) {
   COF_CHECK_MSG(opt_.backend != backend_kind::serial,
-                "index queries drive a device pipeline (pick O, G, S, U or P)");
+                "index queries drive a device pipeline (pick O, G, S or U)");
   usize ndev = std::max<usize>(1, opt_.num_devices);
   if (opt_.counting) ndev = 1;  // profiling serialises everything
   usize nslots = std::max<usize>(

@@ -11,12 +11,10 @@
 //   count = popcount(mm & ~ambiguous & active)
 //
 // Ambiguous reference positions (any non-ACGT base) are exact-matched by a
-// scalar fallback: against the raw chunk chars through the opt5 LUT when the
-// facade keeps them resident (CharRef = true: buffer-SYCL, USM, OpenCL), or
-// with the collapsed-'N' semantics of the twobit facade (CharRef = false,
-// via the per-word 'N' deny mask). Either way the kernel is byte-identical
-// to the facade's opt5/reference comparer on every input — asserted
-// exhaustively by tests/test_swar.cpp.
+// scalar fallback against the raw chunk chars through the opt5 LUT (every
+// facade keeps the chars resident next to the packed words), so the kernel
+// is byte-identical to opt5 and the serial reference on every input —
+// asserted exhaustively by tests/test_swar.cpp.
 //
 // The kernels cooperate with the two-phase executor (single leading barrier)
 // like every other comparer, and additionally expose a lane-batched
@@ -69,11 +67,11 @@ struct comparer_swar_args {
   u32 locicnts = 0;
   const u64* chr_packed2 = nullptr;  // 2-bit codes, padded (global)
   const u64* chr_amb2 = nullptr;     // ambiguity flags, same geometry (global)
-  const char* chr = nullptr;         // raw chars, CharRef fallback (global)
+  const char* chr = nullptr;         // raw chars, ambiguity fallback (global)
   const u32* loci = nullptr;         // finder output (global)
   const char* flag = nullptr;        // finder output (global)
   const u64* comp_swar = nullptr;    // 2*swar_words*kSwarMasksPerWord (constant)
-  const u16* comp_mask = nullptr;    // opt5 LUTs, CharRef fallback (constant)
+  const u16* comp_mask = nullptr;    // opt5 LUTs, ambiguity fallback (constant)
   u32 plen = 0;
   u32 swar_words = 0;                // ceil(plen/32)
   u16 threshold = 0;
@@ -85,7 +83,7 @@ struct comparer_swar_args {
   /// still advances so the host can report the overflow).
   u32 entry_capacity = ~u32{0};
   u64* l_comp_swar = nullptr;        // local, 2*swar_words*kSwarMasksPerWord
-  u16* l_comp_mask = nullptr;        // local, 2*plen (CharRef only)
+  u16* l_comp_mask = nullptr;        // local, 2*plen
 };
 
 /// Batched multi-query twin (the comparer_multi path under opt6): per-query
@@ -98,7 +96,7 @@ struct comparer_multi_swar_args {
   const u32* loci = nullptr;
   const char* flag = nullptr;
   const u64* comp_swar = nullptr;    // nqueries x 2*swar_words*kSwarMasksPerWord
-  const u16* comp_mask = nullptr;    // nqueries x 2*plen (CharRef)
+  const u16* comp_mask = nullptr;    // nqueries x 2*plen
   const u16* thresholds = nullptr;   // per query
   u32 nqueries = 0;
   u32 plen = 0;
@@ -110,7 +108,7 @@ struct comparer_multi_swar_args {
   u32* entrycount = nullptr;
   u32 entry_capacity = ~u32{0};
   u64* l_comp_swar = nullptr;        // local
-  u16* l_comp_mask = nullptr;        // local (CharRef only)
+  u16* l_comp_mask = nullptr;        // local
 };
 
 // ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ namespace detail {
 /// Sets `under` false (and stops) once the count exceeds the threshold;
 /// when `under` survives, the return value is the exact mismatch count the
 /// sequential opt5 scan would produce.
-template <class PItem, bool CharRef>
+template <class PItem>
 inline u16 swar_count_strand(PItem& p, const comparer_swar_args& a,
                              const u64* l_swar, usize swar_base,
                              const u16* l_mask, usize mask_base, u32 locus,
@@ -159,25 +157,16 @@ inline u16 swar_count_strand(PItem& p, const comparer_swar_args& a,
     mm &= ~amb;
     lmm = static_cast<u16>(lmm + __builtin_popcountll(mm));
 
-    if (amb != 0) {
-      if constexpr (CharRef) {
-        // Exact opt5 semantics for every reference character: LUT test on
-        // the raw chunk char.
-        u64 rest = amb;
-        while (rest != 0) {
-          const u32 j = static_cast<u32>(__builtin_ctzll(rest)) >> 1;
-          rest &= rest - 1;
-          const usize k = 32 * w + j;
-          const char rv = p.gload(a.chr, locus + k);
-          auto mask = [&] { return p.lload(l_mask, mask_base + k); };
-          if (mask_mismatch(p, mask, rv)) ++lmm;
-        }
-      } else {
-        // twobit semantics: every ambiguous reference base behaves like 'N'.
-        lmm = static_cast<u16>(
-            lmm + __builtin_popcountll(
-                      amb & p.lload(l_swar, swar_base + w * kSwarMasksPerWord + 4)));
-      }
+    // Exact opt5 semantics for every ambiguous reference character: LUT
+    // test on the raw chunk char.
+    u64 rest = amb;
+    while (rest != 0) {
+      const u32 j = static_cast<u32>(__builtin_ctzll(rest)) >> 1;
+      rest &= rest - 1;
+      const usize k = 32 * w + j;
+      const char rv = p.gload(a.chr, locus + k);
+      auto mask = [&] { return p.lload(l_mask, mask_base + k); };
+      if (mask_mismatch(p, mask, rv)) ++lmm;
     }
     if (lmm > threshold) {
       p.count_branch();
@@ -188,11 +177,11 @@ inline u16 swar_count_strand(PItem& p, const comparer_swar_args& a,
   return lmm;
 }
 
-template <class PItem, bool CharRef>
+template <class PItem>
 inline void swar_strand(PItem& p, const comparer_swar_args& a, int half, char dir,
                         u32 locus) {
   bool under = false;
-  const u16 lmm = swar_count_strand<PItem, CharRef>(
+  const u16 lmm = swar_count_strand<PItem>(
       p, a, a.l_comp_swar,
       static_cast<usize>(half) * a.swar_words * kSwarMasksPerWord, a.l_comp_mask,
       static_cast<usize>(half) * a.plen, locus, a.threshold, under);
@@ -207,29 +196,27 @@ inline void swar_strand(PItem& p, const comparer_swar_args& a, int half, char di
 }
 
 /// Post-fetch work of one work-item (also the lane-loop body).
-template <class PItem, bool CharRef>
+template <class PItem>
 inline void swar_item_body(PItem& p, const comparer_swar_args& a, usize i) {
   if (i >= a.locicnts) return;
   const char f = p.gload(a.flag, i);
   const u32 locus = p.gload(a.loci, i);
-  if (f == 0 || f == 1) swar_strand<PItem, CharRef>(p, a, 0, '+', locus);
-  if (f == 0 || f == 2) swar_strand<PItem, CharRef>(p, a, 1, '-', locus);
+  if (f == 0 || f == 1) swar_strand<PItem>(p, a, 0, '+', locus);
+  if (f == 0 || f == 2) swar_strand<PItem>(p, a, 1, '-', locus);
 }
 
 /// AVX2 lane-batched post-fetch body: four work-items per instruction
 /// stream, direct (uncounted) accesses only. Implemented in
 /// kernels_swar.cpp behind a target("avx2") attribute; only called when
 /// util::cpu().avx2 holds.
-void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes,
-                             bool char_ref);
+void comparer_swar_post_avx2(const comparer_swar_args& a, usize first, usize nlanes);
 
 }  // namespace detail
 
 /// opt6 comparer. Structure mirrors opt5 (cooperative fetch, single leading
 /// barrier, two-phase cooperation); the fetch brings in the per-word SWAR
-/// masks (and, for CharRef facades, the opt5 LUTs for the ambiguity
-/// fallback).
-template <class P, class Item, bool CharRef>
+/// masks and the opt5 LUTs for the ambiguity fallback.
+template <class P, class Item>
 inline void comparer_swar_kernel(const Item& it, const comparer_swar_args& a) {
   typename P::item p;
   const usize i = it.get_global_id(0);
@@ -242,32 +229,29 @@ inline void comparer_swar_kernel(const Item& it, const comparer_swar_args& a) {
          k += static_cast<u32>(it.get_local_range(0))) {
       p.lstore(a.l_comp_swar, k, p.gload(a.comp_swar, k));
     }
-    if constexpr (CharRef) {
-      for (u32 k = static_cast<u32>(li); k < a.plen * 2;
-           k += static_cast<u32>(it.get_local_range(0))) {
-        p.lstore(a.l_comp_mask, k, p.gload(a.comp_mask, k));
-      }
+    for (u32 k = static_cast<u32>(li); k < a.plen * 2;
+         k += static_cast<u32>(it.get_local_range(0))) {
+      p.lstore(a.l_comp_mask, k, p.gload(a.comp_mask, k));
     }
     if (ph == xpu::exec_phase::fetch_only) return;
     it.barrier();
   }
-  detail::swar_item_body<typename P::item, CharRef>(p, a, i);
+  detail::swar_item_body<typename P::item>(p, a, i);
 }
 
 /// Lane-batched post-fetch entry (direct memory policy only): the facades
 /// hand this to the executor's lane dispatch for work-items
 /// [first, first+nlanes). AVX2 when available, scalar lane loop otherwise;
 /// both orders of arithmetic are identical, so the output bytes are too.
-template <bool CharRef>
 inline void comparer_swar_lanes(const comparer_swar_args& a, usize first,
                                 usize nlanes) {
   if (util::simd_lanes_enabled()) {
-    detail::comparer_swar_post_avx2(a, first, nlanes, CharRef);
+    detail::comparer_swar_post_avx2(a, first, nlanes);
     return;
   }
   for (usize l = 0; l < nlanes; ++l) {
     direct_mem::item p;
-    detail::swar_item_body<direct_mem::item, CharRef>(p, a, first + l);
+    detail::swar_item_body<direct_mem::item>(p, a, first + l);
   }
 }
 
@@ -275,7 +259,7 @@ inline void comparer_swar_lanes(const comparer_swar_args& a, usize first,
 // batched multi-query kernel
 // ---------------------------------------------------------------------------
 
-template <class P, class Item, bool CharRef>
+template <class P, class Item>
 inline void comparer_multi_swar_kernel(const Item& it,
                                        const comparer_multi_swar_args& a) {
   typename P::item p;
@@ -290,11 +274,9 @@ inline void comparer_multi_swar_kernel(const Item& it,
          k += static_cast<u32>(it.get_local_range(0))) {
       p.lstore(a.l_comp_swar, k, p.gload(a.comp_swar, k));
     }
-    if constexpr (CharRef) {
-      for (u32 k = static_cast<u32>(li); k < a.nqueries * a.plen * 2;
-           k += static_cast<u32>(it.get_local_range(0))) {
-        p.lstore(a.l_comp_mask, k, p.gload(a.comp_mask, k));
-      }
+    for (u32 k = static_cast<u32>(li); k < a.nqueries * a.plen * 2;
+         k += static_cast<u32>(it.get_local_range(0))) {
+      p.lstore(a.l_comp_mask, k, p.gload(a.comp_mask, k));
     }
     if (ph == xpu::exec_phase::fetch_only) return;
     it.barrier();
@@ -319,7 +301,7 @@ inline void comparer_multi_swar_kernel(const Item& it,
     for (int half = 0; half < 2; ++half) {
       if (!(f == 0 || f == static_cast<char>(half + 1))) continue;
       bool under = false;
-      const u16 lmm = detail::swar_count_strand<typename P::item, CharRef>(
+      const u16 lmm = detail::swar_count_strand<typename P::item>(
           p, s, a.l_comp_swar,
           (static_cast<usize>(q) * 2 + static_cast<usize>(half)) * a.swar_words *
               kSwarMasksPerWord,

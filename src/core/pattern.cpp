@@ -41,14 +41,13 @@ device_pattern build(std::string_view raw) {
   }
 
   // opt6 SWAR masks: for every 32-base word of each half, one deny mask per
-  // reference code (and one for ambiguous/'N' references), each read straight
-  // out of the opt5 deny LUT so the two variants are bit-identical by
-  // construction. Bits sit at even positions to align with the 2-bit packed
-  // reference words; bases past plen (the ragged tail) stay 0 = never
-  // mismatch, like a pattern 'N'.
+  // concrete reference code, each read straight out of the opt5 deny LUT so
+  // the two variants are bit-identical by construction. Bits sit at even
+  // positions to align with the 2-bit packed reference words; bases past
+  // plen (the ragged tail) stay 0 = never mismatch, like a pattern 'N'.
   p.swar_words = (p.plen + 31) / 32;
   p.swar.assign(static_cast<usize>(2) * p.swar_words * kSwarMasksPerWord, 0);
-  constexpr char kRefChars[kSwarMasksPerWord] = {'A', 'C', 'G', 'T', 'N'};
+  constexpr char kRefChars[kSwarMasksPerWord] = {'A', 'C', 'G', 'T'};
   for (int half = 0; half < 2; ++half) {
     for (u32 k = 0; k < p.plen; ++k) {
       const util::u16 lut = p.mask[half * p.plen + k];

@@ -24,12 +24,12 @@ using util::i32;
 using util::u32;
 using util::usize;
 
-/// u64 entries per (half, word) in device_pattern::swar: four per-reference-
-/// code deny masks (A, C, G, T order) followed by the ambiguous-reference
-/// ('N') deny mask. Each mask carries one bit per base at even bit positions
-/// (bit 2*j for base j of the word), aligned with the 2-bit packed reference
-/// words the opt6 comparer scans (kernels_swar.hpp).
-inline constexpr usize kSwarMasksPerWord = 5;
+/// u64 entries per (half, word) in device_pattern::swar: one deny mask per
+/// concrete reference code, in A, C, G, T order (ambiguous reference bases
+/// take the opt5 LUT fallback instead). Each mask carries one bit per base
+/// at even bit positions (bit 2*j for base j of the word), aligned with the
+/// 2-bit packed reference words the opt6 comparer scans (kernels_swar.hpp).
+inline constexpr usize kSwarMasksPerWord = 4;
 
 /// Device-ready arrays for one search/compare sequence pair.
 struct device_pattern {

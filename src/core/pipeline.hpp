@@ -153,9 +153,7 @@ class device_pipeline {
   /// strands matched the PAM, 1 = forward only, 2 = reverse only). Length
   /// equals the last finder run's hit count. The index build phase persists
   /// these so warm queries can skip the finder entirely.
-  virtual std::vector<char> read_flags() {
-    throw std::logic_error(std::string(name()) + ": read_flags not implemented");
-  }
+  virtual std::vector<char> read_flags() = 0;
 
   /// Warm-path upload: load a chunk together with PREBUILT finder output
   /// (loci + strand flags from a genome_index) so subsequent comparer
@@ -165,75 +163,36 @@ class device_pipeline {
   /// max_entries cap cannot hold the prebuilt hits.
   virtual void load_indexed_chunk(std::string_view seq, u32 plen,
                                   const std::vector<u32>& loci,
-                                  const std::vector<char>& flags) {
-    (void)seq;
-    (void)plen;
-    (void)loci;
-    (void)flags;
-    throw std::logic_error(std::string(name()) +
-                           ": load_indexed_chunk not implemented");
-  }
+                                  const std::vector<char>& flags) = 0;
 
   /// Run the comparer for one query against the finder's hits.
   virtual entries run_comparer(const device_pattern& query, u16 threshold) = 0;
-
-  /// Run the comparer for every query in ONE pass. The default loops
-  /// run_comparer (per-query launches, as in the paper / upstream);
-  /// pipelines with a batched kernel override it.
-  virtual entries run_comparer_batch(const std::vector<device_pattern>& queries,
-                                     const std::vector<u16>& thresholds) {
-    entries all;
-    for (usize q = 0; q < queries.size(); ++q) {
-      entries e = run_comparer(queries[q], thresholds[q]);
-      all.mm.insert(all.mm.end(), e.mm.begin(), e.mm.end());
-      all.dir.insert(all.dir.end(), e.dir.begin(), e.dir.end());
-      all.loci.insert(all.loci.end(), e.loci.begin(), e.loci.end());
-      all.qidx.insert(all.qidx.end(), e.size(), static_cast<u16>(q));
-    }
-    return all;
-  }
 
   /// Split batched comparer: launch_comparer_batch starts the single
   /// multi-query launch (finder loci/flags are consumed device-side, no
   /// host round trip); fetch_entries later downloads the entry list. This
   /// is the deferred-download half of the async interface — the engine
   /// launches chunk N's comparer, overlaps host work, then fetches.
-  /// Defaults stage run_comparer_batch's result so every facade (including
-  /// ones without a batched kernel) supports the split protocol.
   virtual pipe_event launch_comparer_batch(const std::vector<device_pattern>& queries,
-                                           const std::vector<u16>& thresholds) {
-    obs::span sp("comparer.batch", "device");
-    sp.arg("queries", static_cast<double>(queries.size()));
-    fault::inject_point(fault::site::dev_launch);
-    staged_ = run_comparer_batch(queries, thresholds);
-    staged_valid_ = true;
-    return {};
-  }
+                                           const std::vector<u16>& thresholds) = 0;
 
-  /// Download the entries staged by the last launch_comparer_batch.
-  virtual entries fetch_entries() {
-    obs::span sp("fetch", "device");
-    COF_CHECK(staged_valid_);
-    staged_valid_ = false;
-    sp.arg("entries", static_cast<double>(staged_.size()));
-    return std::move(staged_);
+  /// Download the entries of the last launch_comparer_batch.
+  virtual entries fetch_entries() = 0;
+
+  /// Run the comparer for every query in ONE pass: launch, wait, fetch.
+  entries run_comparer_batch(const std::vector<device_pattern>& queries,
+                             const std::vector<u16>& thresholds) {
+    launch_comparer_batch(queries, thresholds).wait();
+    return fetch_entries();
   }
 
   virtual const pipeline_metrics& metrics() const = 0;
-
- protected:
-  entries staged_;            // default launch/fetch staging
-  bool staged_valid_ = false;
 };
 
 std::unique_ptr<device_pipeline> make_opencl_pipeline(const pipeline_options& opt);
 std::unique_ptr<device_pipeline> make_sycl_pipeline(const pipeline_options& opt);
 /// The USM flavour of the SYCL host program (paper §III.A's alternative).
 std::unique_ptr<device_pipeline> make_sycl_usm_pipeline(const pipeline_options& opt);
-/// SYCL host program over 2-bit packed chunks (the upstream memory
-/// optimisation, §V [21]). Comparer variants do not apply (always
-/// optimised-style kernels); reference ambiguity codes collapse to 'N'.
-std::unique_ptr<device_pipeline> make_sycl_twobit_pipeline(const pipeline_options& opt);
 
 /// The host programming steps each implementation performs (Table I).
 std::vector<std::string> opencl_programming_steps();

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "core/pattern.hpp"
 #include "util/strings.hpp"
 
 namespace gpumodel {
@@ -360,12 +361,10 @@ void pass_swar(kir_kernel& k, const build_params& p) {
           k.emit(op_kind::valu, "", eq, {ref});
           k.emit(op_kind::valu, "", mm, {mm, eq, deny});
         }
-        // Mask off ambiguous lanes ('N' deny-mask fallback) and popcount
-        // into the running mismatch count.
-        const int ndeny = k.new_value();
-        k.emit(op_kind::lds_read, "l_comp_swar/" + wk + "#n", ndeny);
+        // Mask off ambiguous lanes (they take the LUT fallback) and
+        // popcount into the running mismatch count.
         const int pc = k.new_value();
-        k.emit(op_kind::valu, "", pc, {mm, amb, ndeny});
+        k.emit(op_kind::valu, "", pc, {mm, amb});
         k.emit(op_kind::valu, "", pc, {pc});
         k.emit(op_kind::valu, "", lmm, {lmm, pc});
         // Threshold early-exit.
@@ -383,7 +382,8 @@ void pass_swar(kir_kernel& k, const build_params& p) {
   dce_dead_valu(k);
   // LDS now holds the per-word deny masks plus the opt5 LUTs retained for
   // the ambiguity fallback.
-  k.lds_bytes = 2 * words * 5 * 8 + p.plen * 2 * 2;
+  k.lds_bytes =
+      2 * words * static_cast<u32>(cof::kSwarMasksPerWord) * 8 + p.plen * 2 * 2;
 }
 
 }  // namespace gpumodel

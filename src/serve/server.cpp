@@ -288,7 +288,11 @@ void server::run_batch(std::vector<pending>& batch) {
       r.timing.batch_wait_us = to_us(p.t_pop_ns, t_launch_ns);
       r.timing.device_us = to_us(t_launch_ns, t_done_ns);
       r.timing.demux_us = to_us(t_done_ns, t_fulfil_ns);
-      const u64 total_us = to_us(p.t_admit_ns, t_fulfil_ns);
+      // The histograms record the envelope's own total, so the served
+      // percentiles are exactly those of the latencies clients receive (a
+      // separate admit→fulfil subtraction differs by the segments'
+      // truncation, enough to move a sample across a bucket bound).
+      const u64 total_us = r.timing.total_us();
       latency.observe(total_us);
       latency_window.observe(total_us);
       obs::flow_end("serve.request", "serve", p.id);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/serial_ref.hpp"
+#include "genome/chunker.hpp"
 #include "genome/synth.hpp"
 
 namespace {
@@ -71,15 +73,38 @@ TEST(BatchComparer, AmortisesLociFlagLoads) {
   EXPECT_LT(b[prof::ev::work_item], pq[prof::ev::work_item]);
 }
 
-TEST(BatchComparer, NonSyclBackendsFallBackToPerQuery) {
+/// Chunks of the in-memory chunker holding at least one PAM site, by the
+/// serial oracle: an all-N guide matches every PAM site with no mismatch.
+util::usize chunks_with_pam_sites(const genome::genome_t& g,
+                                  const std::string& pattern,
+                                  util::usize max_chunk) {
+  const std::vector<query_spec> any_site = {{std::string(pattern.size(), 'N'), 0}};
+  util::usize n = 0;
+  for (const auto& ch : genome::make_chunks(g, max_chunk, pattern.size() - 1)) {
+    genome::genome_t one;
+    one.chroms.push_back({"chunk", std::string(genome::chunk_view(g, ch))});
+    if (!serial_search(pattern, any_site, one).empty()) ++n;
+  }
+  return n;
+}
+
+/// OpenCL and USM have their own comparer_multi kernels: one batched launch
+/// per chunk with PAM hits, whatever the query count, and serial-identical
+/// records.
+TEST(BatchComparer, OpenclAndUsmLaunchOncePerChunkWithHits) {
   auto g = batch_genome(84, 20000);
   auto cfg = parse_input(example_input("<mem>"));
-  for (auto backend : {backend_kind::opencl, backend_kind::sycl_usm,
-                       backend_kind::sycl_twobit}) {
+  ASSERT_EQ(cfg.queries.size(), 3u);
+  const util::usize max_chunk = 8192;
+  const util::usize with_hits = chunks_with_pam_sites(g, cfg.pattern, max_chunk);
+  ASSERT_GT(with_hits, 0u);
+  auto serial = run_search(cfg, g, {.backend = backend_kind::serial});
+  for (auto backend : {backend_kind::opencl, backend_kind::sycl_usm}) {
     auto r = run_search(cfg, g,
-                        {.backend = backend, .max_chunk = 8192,
+                        {.backend = backend, .max_chunk = max_chunk,
                          .batch_queries = true});
-    auto serial = run_search(cfg, g, {.backend = backend_kind::serial});
+    EXPECT_EQ(r.metrics.pipeline.comparer_launches, with_hits)
+        << backend_name(backend);
     EXPECT_EQ(r.records, serial.records) << backend_name(backend);
   }
 }

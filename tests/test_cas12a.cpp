@@ -92,7 +92,7 @@ TEST(Cas12a, AllBackendsAgree) {
   auto serial = run_search(cfg, g, {.backend = backend_kind::serial});
   EXPECT_GE(serial.records.size(), 3u);
   for (auto backend : {backend_kind::opencl, backend_kind::sycl,
-                       backend_kind::sycl_usm, backend_kind::sycl_twobit}) {
+                       backend_kind::sycl_usm}) {
     auto r = run_search(cfg, g, {.backend = backend, .max_chunk = 6000});
     EXPECT_EQ(r.records, serial.records) << backend_name(backend);
   }

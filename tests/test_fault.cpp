@@ -764,7 +764,7 @@ TEST(OverflowRecovery, TinyCapMatchesUncappedOnEveryBackendAndQueueCount) {
 
   for (const auto backend :
        {cof::backend_kind::opencl, cof::backend_kind::sycl,
-        cof::backend_kind::sycl_usm, cof::backend_kind::sycl_twobit}) {
+        cof::backend_kind::sycl_usm}) {
     cof::engine_options opt{.backend = backend, .max_chunk = 9000};
     const auto uncapped = cof::run_search_streaming(c.cfg, c.file, opt);
     ASSERT_FALSE(uncapped.records.empty());
@@ -813,15 +813,7 @@ TEST_P(TrueDemand, OverflowErrorRoundTripsTheKernelCounter) {
   const std::string_view seq(g.chroms[0].seq.data(), 9000);
 
   auto make = [&](util::usize max_entries) {
-    cof::pipeline_options popt;
-    popt.max_entries = max_entries;
-    switch (GetParam()) {
-      case cof::backend_kind::opencl: return cof::make_opencl_pipeline(popt);
-      case cof::backend_kind::sycl_usm: return cof::make_sycl_usm_pipeline(popt);
-      case cof::backend_kind::sycl_twobit:
-        return cof::make_sycl_twobit_pipeline(popt);
-      default: return cof::make_sycl_pipeline(popt);
-    }
+    return cof::make_pipeline({.backend = GetParam()}, max_entries);
   };
 
   auto uncapped = make(0);
@@ -844,7 +836,6 @@ TEST_P(TrueDemand, OverflowErrorRoundTripsTheKernelCounter) {
 INSTANTIATE_TEST_SUITE_P(Backends, TrueDemand,
                          ::testing::Values(cof::backend_kind::opencl,
                                            cof::backend_kind::sycl,
-                                           cof::backend_kind::sycl_usm,
-                                           cof::backend_kind::sycl_twobit));
+                                           cof::backend_kind::sycl_usm));
 
 }  // namespace

@@ -142,19 +142,4 @@ TEST_P(DifferentialOpt5, MaskLutMatchesSerialOnAllBackends) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialOpt5, ::testing::Range(1, 9));
 
-// The 2-bit pipeline collapses reference ambiguity codes to 'N' — identical
-// to the char pipelines on ACGTN genomes, which fuzz genomes are.
-class DifferentialTwobit : public ::testing::TestWithParam<int> {};
-
-TEST_P(DifferentialTwobit, PackedMatchesSerial) {
-  const auto fc = make_case(static_cast<util::u64>(GetParam()) + 2000);
-  const auto serial = run_search(fc.cfg, fc.g, {.backend = backend_kind::serial});
-  engine_options opt{.backend = backend_kind::sycl_twobit,
-                     .max_chunk = fc.max_chunk};
-  const auto r = run_search(fc.cfg, fc.g, opt);
-  ASSERT_EQ(r.records, serial.records) << "seed=" << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTwobit, ::testing::Range(1, 9));
-
 }  // namespace

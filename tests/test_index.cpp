@@ -149,7 +149,7 @@ TEST(IndexQuery, WarmMatchesColdOnEveryBackendAndQueueCount) {
 
   for (const auto backend :
        {cof::backend_kind::opencl, cof::backend_kind::sycl,
-        cof::backend_kind::sycl_usm, cof::backend_kind::sycl_twobit}) {
+        cof::backend_kind::sycl_usm}) {
     cof::engine_options opt{.backend = backend, .max_chunk = 9000};
     const auto cold = cof::run_search_streaming(c.cfg, c.file, opt);
     ASSERT_FALSE(cold.records.empty()) << cof::backend_name(backend);

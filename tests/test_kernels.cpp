@@ -197,9 +197,9 @@ cmp_run run_comparer_swar(const std::string& chunk, const std::vector<u32>& loci
     a.l_comp_swar = reinterpret_cast<util::u64*>(base);
     a.l_comp_mask = reinterpret_cast<u16*>(base + mask_off);
     if (counting) {
-      comparer_swar_kernel<counting_mem, xpu::xitem, true>(it, a);
+      comparer_swar_kernel<counting_mem, xpu::xitem>(it, a);
     } else {
-      comparer_swar_kernel<direct_mem, xpu::xitem, true>(it, a);
+      comparer_swar_kernel<direct_mem, xpu::xitem>(it, a);
     }
   });
   return canonicalise(mm, dir, mloci, count);

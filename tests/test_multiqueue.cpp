@@ -39,7 +39,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{4, backend_kind::sycl},
                       std::pair{3, backend_kind::opencl},
                       std::pair{2, backend_kind::sycl_usm},
-                      std::pair{2, backend_kind::sycl_twobit},
                       std::pair{8, backend_kind::sycl}));
 
 TEST(MultiQueue, MetricsAggregateAcrossQueues) {

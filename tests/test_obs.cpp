@@ -509,7 +509,6 @@ TEST_P(FacadeTrace, StreamingRunEmitsAllPipelineSpans) {
 INSTANTIATE_TEST_SUITE_P(AllFacades, FacadeTrace,
                          ::testing::Values(backend_kind::sycl,
                                            backend_kind::sycl_usm,
-                                           backend_kind::sycl_twobit,
                                            backend_kind::opencl));
 
 TEST(ObsEngine, UntracedRunLeavesSubsystemDisabled) {

@@ -174,8 +174,7 @@ TEST_P(ShardSweep, ByteIdenticalForAnyDeviceCount) {
 INSTANTIATE_TEST_SUITE_P(Backends, ShardSweep,
                          ::testing::Values(cof::backend_kind::opencl,
                                            cof::backend_kind::sycl,
-                                           cof::backend_kind::sycl_usm,
-                                           cof::backend_kind::sycl_twobit));
+                                           cof::backend_kind::sycl_usm));
 
 /// Both assignment policies converge on the same canonical record stream.
 TEST(ShardPolicySweep, LeastLoadedMatchesRoundRobin) {

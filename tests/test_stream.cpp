@@ -78,7 +78,7 @@ TEST(FastaStream, AgreesWithInMemoryParserOnRandomFiles) {
     const auto nrecs = 1 + rng.next_below(4);
     for (util::u64 r = 0; r < nrecs; ++r) {
       genome::chromosome c;
-      c.name = "r" + std::to_string(r);
+      c.name = std::string("r") + std::to_string(r);
       const auto len = rng.next_below(5000);
       for (util::u64 i = 0; i < len; ++i) c.seq += "ACGTN"[rng.next_below(5)];
       recs.push_back(std::move(c));
@@ -336,7 +336,7 @@ TEST(StreamingAsync, SingleBatchedComparerLaunchPerChunk) {
 
 /// Every device backend must produce the serial reference's records through
 /// the async streaming path (exercises the batched launch/fetch protocol of
-/// each facade: buffer SYCL, USM, OpenCL comparer_multi, twobit fallback).
+/// each facade: buffer SYCL, USM and OpenCL comparer_multi).
 class StreamBackends : public ::testing::TestWithParam<cof::backend_kind> {};
 
 TEST_P(StreamBackends, AsyncStreamedMatchesSerialReference) {
@@ -359,8 +359,7 @@ TEST_P(StreamBackends, AsyncStreamedMatchesSerialReference) {
 INSTANTIATE_TEST_SUITE_P(Backends, StreamBackends,
                          ::testing::Values(cof::backend_kind::opencl,
                                            cof::backend_kind::sycl,
-                                           cof::backend_kind::sycl_usm,
-                                           cof::backend_kind::sycl_twobit));
+                                           cof::backend_kind::sycl_usm));
 
 /// Chunk-boundary site straddling a chunk edge must survive the async path's
 /// overlap carry (same planted-site setup as the synchronous boundary test).
@@ -431,8 +430,7 @@ TEST_P(StreamBoundary, ExactMultipleRecordHasNoCarryOnlyChunk) {
 INSTANTIATE_TEST_SUITE_P(Backends, StreamBoundary,
                          ::testing::Values(cof::backend_kind::opencl,
                                            cof::backend_kind::sycl,
-                                           cof::backend_kind::sycl_usm,
-                                           cof::backend_kind::sycl_twobit));
+                                           cof::backend_kind::sycl_usm));
 
 /// An entry buffer sized below the hit count overflows; the kernel counter
 /// keeps advancing past the capacity (only stores are dropped), so the host
@@ -473,8 +471,7 @@ TEST_P(StreamOverflow, UndersizedEntryBufferThrowsWithRecoveryOff) {
 INSTANTIATE_TEST_SUITE_P(Backends, StreamOverflow,
                          ::testing::Values(cof::backend_kind::opencl,
                                            cof::backend_kind::sycl,
-                                           cof::backend_kind::sycl_usm,
-                                           cof::backend_kind::sycl_twobit));
+                                           cof::backend_kind::sycl_usm));
 
 /// The non-streamed engine path checks the same capacity.
 TEST(StreamOverflow, RunSearchUndersizedEntryBufferDies) {

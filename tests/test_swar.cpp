@@ -151,7 +151,7 @@ cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
         util::round_up<usize>(query.swar.size() * sizeof(util::u64), 8);
     a.l_comp_swar = reinterpret_cast<util::u64*>(base);
     a.l_comp_mask = reinterpret_cast<u16*>(base + mask_off);
-    comparer_swar_kernel<direct_mem, xpu::xitem, true>(it, a);
+    comparer_swar_kernel<direct_mem, xpu::xitem>(it, a);
   };
   xpu::launch_stats stats;
   if (via_lanes) {
@@ -160,8 +160,7 @@ cmp_run run_opt6(const std::string& chunk, const std::vector<u32>& loci,
                               comparer_swar_args la = a;
                               la.l_comp_swar = const_cast<util::u64*>(a.comp_swar);
                               la.l_comp_mask = const_cast<u16*>(a.comp_mask);
-                              comparer_swar_lanes<true>(la, first.get_global_id(0),
-                                                        nlanes);
+                              comparer_swar_lanes(la, first.get_global_id(0), nlanes);
                             });
   } else {
     stats = dev().run(cfg, item_body);
@@ -331,7 +330,7 @@ TEST(SwarDispatch, ForcedScalarMatchesSimd) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level byte-identity: all four backends x {1,2,4} queues.
+// Engine-level byte-identity: all three device backends x {1,2,4} queues.
 // ---------------------------------------------------------------------------
 
 genome::genome_t swar_genome(util::u64 seed) {
@@ -346,8 +345,7 @@ class SwarBackendSweep
     : public ::testing::TestWithParam<std::pair<backend_kind, int>> {};
 
 // opt6 must produce byte-identical search output to the same backend's opt5
-// across every queue count. (Comparing within one backend keeps the twobit
-// facade's collapsed-'N' semantics out of the equation.)
+// across every queue count.
 TEST_P(SwarBackendSweep, Opt6MatchesOpt5) {
   const auto [backend, queues] = GetParam();
   auto g = swar_genome(71);
@@ -373,10 +371,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{backend_kind::opencl, 4},
                       std::pair{backend_kind::sycl_usm, 1},
                       std::pair{backend_kind::sycl_usm, 2},
-                      std::pair{backend_kind::sycl_usm, 4},
-                      std::pair{backend_kind::sycl_twobit, 1},
-                      std::pair{backend_kind::sycl_twobit, 2},
-                      std::pair{backend_kind::sycl_twobit, 4}));
+                      std::pair{backend_kind::sycl_usm, 4}));
 
 // The batched multi-query comparer (comparer_multi_opt6) runs when
 // batch_queries is set; it must agree with the per-query path.
@@ -384,8 +379,7 @@ TEST(SwarEngine, BatchedQueriesMatchUnbatched) {
   auto g = swar_genome(72);
   auto cfg = parse_input(example_input("<mem>"));
   for (backend_kind backend :
-       {backend_kind::sycl, backend_kind::opencl, backend_kind::sycl_usm,
-        backend_kind::sycl_twobit}) {
+       {backend_kind::sycl, backend_kind::opencl, backend_kind::sycl_usm}) {
     engine_options plain{.backend = backend,
                          .variant = comparer_variant::opt6,
                          .max_chunk = 8192};
@@ -419,8 +413,7 @@ TEST(SwarEngine, StreamedOutputMatchesAcrossDispatchPaths) {
   genome::write_fasta_file(file.string(), g.chroms);
 
   for (backend_kind backend :
-       {backend_kind::sycl, backend_kind::opencl, backend_kind::sycl_usm,
-        backend_kind::sycl_twobit}) {
+       {backend_kind::sycl, backend_kind::opencl, backend_kind::sycl_usm}) {
     engine_options base{.backend = backend,
                         .variant = comparer_variant::opt5,
                         .max_chunk = 7000,
