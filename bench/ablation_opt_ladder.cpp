@@ -5,7 +5,8 @@
 // lane rows and the COF_FORCE_SCALAR per-item fallback; they only diverge
 // at opt6, where the lane body exists). A second section isolates the
 // executor ablation: the same comparer launch on the fiber scheduler vs the
-// two-phase single-leading-barrier fast path. Guide sites are planted into
+// two-phase single-leading-barrier fast path, alternated over at least 5
+// repetitions and reported as median and IQR per scheduler. Guide sites are planted into
 // the chunk so every variant exercises the entry append; the bench exits
 // non-zero if any variant finds none or the executor paths diverge. Emits
 // BENCH_opt_ladder.json.
@@ -115,9 +116,30 @@ variant_row measure_variant(comparer_variant v, const std::string& chunk,
 // toggled independently of everything else.
 // --------------------------------------------------------------------------
 
+/// Median and interquartile range of repeated wall-time samples.
+struct spread {
+  double median = 0;
+  double iqr = 0;
+};
+
+/// Linear-interpolated quantiles of `samples` (sorted in place).
+spread summarise(std::vector<u64>& samples) {
+  std::sort(samples.begin(), samples.end());
+  auto q = [&](double p) {
+    const double x = p * static_cast<double>(samples.size() - 1);
+    const usize i = static_cast<usize>(x);
+    const usize j = std::min(i + 1, samples.size() - 1);
+    return static_cast<double>(samples[i]) +
+           (x - static_cast<double>(i)) *
+               (static_cast<double>(samples[j]) - static_cast<double>(samples[i]));
+  };
+  return {q(0.5), q(0.75) - q(0.25)};
+}
+
 struct exec_result {
-  u64 fiber_wall_nanos = 0;
-  u64 two_phase_wall_nanos = 0;
+  spread fiber;
+  spread two_phase;
+  u64 reps = 0;
   bool identical = false;
 };
 
@@ -176,7 +198,11 @@ exec_result measure_executor(const std::string& chunk, const device_pattern& pat
   const u32 n = static_cast<u32>(sites.loci.size());
   const usize cap = static_cast<usize>(n) * 2;
 
-  auto launch = [&](bool two_phase) {
+  struct run {
+    std::vector<u64> nanos;
+    std::vector<std::tuple<u32, char, u16>> entries;
+  };
+  auto launch = [&](bool two_phase, run& out) {
     std::vector<u16> mm(cap, 0);
     std::vector<char> dir(cap, 0);
     std::vector<u32> mloci(cap, 0);
@@ -206,27 +232,34 @@ exec_result measure_executor(const std::string& chunk, const device_pattern& pat
     a.mm_loci = mloci.data();
     a.entrycount = &count;
 
-    u64 best = ~u64{0};
-    for (u64 r = 0; r <= reps; ++r) {  // rep 0 is warm-up
-      count = 0;
-      auto stats = dev.run(cfg, [&](xpu::xitem& it) {
-        char* base = it.local_mem_base();
-        const usize idx_off = util::round_up<usize>(query.device_chars(), 8);
-        a.l_comp = base;
-        a.l_comp_index = reinterpret_cast<i32*>(base + idx_off);
-        comparer_dispatch<direct_mem>(comparer_variant::opt3, it, a);
-      });
-      if (r > 0) best = std::min(best, stats.wall_nanos);
-    }
-    std::vector<std::tuple<u32, char, u16>> z;
-    for (u32 i = 0; i < count; ++i) z.emplace_back(mloci[i], dir[i], mm[i]);
-    std::sort(z.begin(), z.end());
-    return std::pair{best, z};
+    const auto stats = dev.run(cfg, [&](xpu::xitem& it) {
+      char* base = it.local_mem_base();
+      const usize idx_off = util::round_up<usize>(query.device_chars(), 8);
+      a.l_comp = base;
+      a.l_comp_index = reinterpret_cast<i32*>(base + idx_off);
+      comparer_dispatch<direct_mem>(comparer_variant::opt3, it, a);
+    });
+    out.nanos.push_back(stats.wall_nanos);
+    out.entries.clear();
+    for (u32 i = 0; i < count; ++i) out.entries.emplace_back(mloci[i], dir[i], mm[i]);
+    std::sort(out.entries.begin(), out.entries.end());
   };
 
-  auto [fib_ns, fib_entries] = launch(false);
-  auto [two_ns, two_entries] = launch(true);
-  return {fib_ns, two_ns, !fib_entries.empty() && fib_entries == two_entries};
+  // The schedulers alternate within each repetition, so host load drifts
+  // into both sample sets alike; repetition 0 of each is warm-up.
+  run fib, two;
+  for (u64 r = 0; r <= reps; ++r) {
+    launch(false, fib);
+    launch(true, two);
+  }
+  fib.nanos.erase(fib.nanos.begin());
+  two.nanos.erase(two.nanos.begin());
+  exec_result ex;
+  ex.fiber = summarise(fib.nanos);
+  ex.two_phase = summarise(two.nanos);
+  ex.reps = reps;
+  ex.identical = !fib.entries.empty() && fib.entries == two.entries;
+  return ex;
 }
 
 }  // namespace
@@ -279,15 +312,13 @@ int main(int argc, char** argv) {
     all_entries = all_entries && r.entries > 0;
   }
 
-  const exec_result ex = measure_executor(chunk, pat, query, reps);
-  std::printf("\nexecutor (comparer opt3, wg 256): fiber %llu ns, two-phase %llu "
-              "ns (%.2fx)  results %s\n",
-              static_cast<unsigned long long>(ex.fiber_wall_nanos),
-              static_cast<unsigned long long>(ex.two_phase_wall_nanos),
-              ex.two_phase_wall_nanos
-                  ? static_cast<double>(ex.fiber_wall_nanos) /
-                        static_cast<double>(ex.two_phase_wall_nanos)
-                  : 0.0,
+  const exec_result ex = measure_executor(chunk, pat, query, std::max<u64>(reps, 5));
+  std::printf("\nexecutor (comparer opt3, wg 256, %llu reps): fiber median %.0f ns "
+              "(IQR %.0f), two-phase median %.0f ns (IQR %.0f), fiber/two-phase "
+              "%.2fx  results %s\n",
+              static_cast<unsigned long long>(ex.reps), ex.fiber.median, ex.fiber.iqr,
+              ex.two_phase.median, ex.two_phase.iqr,
+              ex.two_phase.median > 0 ? ex.fiber.median / ex.two_phase.median : 0.0,
               ex.identical ? "identical" : "DIVERGED");
 
   const std::string out = cli.get("out");
@@ -322,12 +353,12 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"executor\": {\"kernel\": \"comparer_opt3\", "
-               "\"fiber_wall_nanos\": %llu, \"two_phase_wall_nanos\": %llu, "
+               "  \"executor\": {\"kernel\": \"comparer_opt3\", \"reps\": %llu, "
+               "\"fiber_median_nanos\": %.0f, \"fiber_iqr_nanos\": %.0f, "
+               "\"two_phase_median_nanos\": %.0f, \"two_phase_iqr_nanos\": %.0f, "
                "\"identical\": %s}\n}\n",
-               static_cast<unsigned long long>(ex.fiber_wall_nanos),
-               static_cast<unsigned long long>(ex.two_phase_wall_nanos),
-               ex.identical ? "true" : "false");
+               static_cast<unsigned long long>(ex.reps), ex.fiber.median, ex.fiber.iqr,
+               ex.two_phase.median, ex.two_phase.iqr, ex.identical ? "true" : "false");
   std::fclose(f);
   std::printf("\nwrote %s\n", out.c_str());
   if (!all_entries) {

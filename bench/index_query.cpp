@@ -7,7 +7,9 @@
 //                  path does zero decode and zero finder launches, so the
 //                  speedup is the decode+finder share of the cold run; the
 //                  acceptance bar is >= 5x with byte-identical records
-//                  across all four facades.
+//                  across all three facades (exit 2 on divergence, or
+//                  when the reference is empty: every guide has planted
+//                  sites, so an empty reference is a broken search).
 //   load cost    — one-off .cofidx load (read + checksum + unpack) that a
 //                  warm process pays before its first query.
 //   coalescing   — warm query latency at 1/4/16 guides, batched (one
@@ -223,6 +225,11 @@ int main(int argc, char** argv) {
 
   std::filesystem::remove(fasta);
   std::filesystem::remove(cofidx);
+  if (fr.front().records == 0) {
+    std::fprintf(stderr, "reference run found no records; identity would be "
+                         "vacuous\n");
+    return 2;
+  }
 
   const std::string out = cli.get("out");
   FILE* f = std::fopen(out.c_str(), "w");

@@ -1,10 +1,14 @@
 // Microbenchmark: finder kernel throughput (positions/s on the simulated
-// accelerator) across PAM patterns of different selectivity, plus chunk-size
+// accelerator) across PAM patterns of different selectivity, opt5 (the
+// per-item bitmask-LUT finder) against opt6 (the same per-item body plus the
+// word-parallel lane row over the packed chunk, which the executor runs when
+// the host's SIMD lanes are enabled) on the same chunk, plus chunk-size
 // sensitivity of the full finder step.
 #include <benchmark/benchmark.h>
 
 #include "core/pipeline.hpp"
 #include "genome/synth.hpp"
+#include "util/cpufeat.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -25,11 +29,14 @@ const char* kPatterns[] = {
     "NNNNNNNNNNNNNNNNNNNNNNG",  // NNG (permissive)
 };
 
+/// Args: pattern index, variant (5 = opt5 per-item, 6 = opt6 lane row).
 void bm_finder_pam(benchmark::State& state) {
   auto& g = test_genome();
   const auto pat = cof::make_pattern(kPatterns[state.range(0)]);
+  const bool opt6 = state.range(1) == 6;
   cof::pipeline_options opt;
   opt.wg_size = 256;
+  opt.variant = opt6 ? cof::comparer_variant::opt6 : cof::comparer_variant::opt5;
   auto pipe = cof::make_sycl_pipeline(opt);
   const auto& seq = g.chroms[0].seq;
   pipe->load_chunk(std::string_view(seq.data(), seq.size()));
@@ -42,7 +49,9 @@ void bm_finder_pam(benchmark::State& state) {
                           static_cast<int64_t>(seq.size()));
   state.counters["hit_rate_pct"] =
       100.0 * static_cast<double>(hits) / static_cast<double>(seq.size());
-  state.SetLabel(kPatterns[state.range(0)] + 18);
+  state.counters["lane_row"] = opt6 && util::simd_lanes_enabled() ? 1 : 0;
+  state.SetLabel(std::string(kPatterns[state.range(0)] + 18) +
+                 (opt6 ? " opt6" : " opt5"));
 }
 
 void bm_finder_chunk_size(benchmark::State& state) {
@@ -68,7 +77,9 @@ void bm_finder_chunk_size(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(bm_finder_pam)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_finder_pam)
+    ->ArgsProduct({{0, 1, 2, 3}, {5, 6}})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_finder_chunk_size)
     ->Arg(16 << 10)
     ->Arg(64 << 10)

@@ -33,6 +33,28 @@
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 
+namespace {
+
+/// A bad device letter, option value or guide spec is a usage error: say
+/// what is wrong, print the usage and exit 2. (util::die aborts, which is
+/// reserved for failures inside the search.)
+[[noreturn]] void usage_error(const util::cli& cli, const std::string& msg) {
+  std::fprintf(stderr, "casoffinder_cli: %s\n\n", msg.c_str());
+  cli.print_usage();
+  std::exit(2);
+}
+
+util::u64 u64_option(const util::cli& cli, const std::string& name) {
+  unsigned long long v = 0;
+  if (!util::parse_u64(cli.get(name), v)) {
+    usage_error(cli, "option --" + name + " must be a non-negative integer, got '" +
+                         cli.get(name) + "'");
+  }
+  return v;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   util::cli cli("casoffinder_cli", "Cas-OFFinder-compatible off-target search");
   cli.positional("input", "input file (genome, pattern, queries)", true);
@@ -101,27 +123,8 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   util::set_log_level(util::log_level::warn);
-  auto cfg = cof::read_input_file(cli.get_positional("input"));
 
-  // Repeated --query GUIDE[:MM] replaces the input file's query list — the
-  // serving shape the index exists for: one cached index, arbitrary guides.
-  if (!cli.get_multi("query").empty()) {
-    cfg.queries.clear();
-    for (const std::string& spec : cli.get_multi("query")) {
-      std::string seq = spec;
-      unsigned long long mm = 5;
-      if (const auto colon = spec.rfind(':'); colon != std::string::npos) {
-        seq = spec.substr(0, colon);
-        COF_CHECK_MSG(util::parse_u64(spec.substr(colon + 1), mm),
-                      "--query wants GUIDE[:MM]: " + spec);
-        COF_CHECK_MSG(mm <= 0xFFFF, "--query mismatch count " +
-                                        std::to_string(mm) +
-                                        " out of range (max 65535): " + spec);
-      }
-      cfg.queries.push_back({seq, static_cast<util::u16>(mm)});
-    }
-  }
-
+  // Every usage check runs before the input file is read.
   cof::engine_options opt;
   const std::string dev = cli.get_positional("device").empty()
                               ? "G"
@@ -133,17 +136,22 @@ int main(int argc, char** argv) {
       opt.backend = cof::backend_kind::sycl;
       break;
     case 'U': case 'u': opt.backend = cof::backend_kind::sycl_usm; break;
-    default: util::die("unknown device (use C, O, G, S or U): " + dev);
+    default: usage_error(cli, "unknown device '" + dev + "' (use C, O, G, S or U)");
   }
-  opt.wg_size = cli.get_u64("wg");
-  opt.max_chunk = cli.get_u64("chunk");
+  opt.wg_size = u64_option(cli, "wg");
+  opt.max_chunk = u64_option(cli, "chunk");
   opt.batch_queries = cli.get_flag("batch");
-  opt.num_queues = cli.get_u64("queues");
-  opt.num_devices = cli.get_u64("devices");
-  opt.shard = cof::parse_shard_policy(cli.get("shard-policy"));
+  opt.num_queues = u64_option(cli, "queues");
+  opt.num_devices = u64_option(cli, "devices");
+  const auto policy = cof::parse_shard_policy(cli.get("shard-policy"));
+  if (!policy) {
+    usage_error(cli, "unknown --shard-policy '" + cli.get("shard-policy") +
+                         "' (use round-robin or least-loaded)");
+  }
+  opt.shard = *policy;
   opt.trace_out = cli.get("trace-out");
   opt.metrics_json = cli.get("metrics-json");
-  opt.max_entries = cli.get_u64("max-entries");
+  opt.max_entries = u64_option(cli, "max-entries");
   opt.faults = cli.get("fault");
   const std::string vname = cli.get("variant");
   bool found_variant = false;
@@ -153,7 +161,39 @@ int main(int argc, char** argv) {
       found_variant = true;
     }
   }
-  COF_CHECK_MSG(found_variant, "unknown variant: " + vname);
+  if (!found_variant) {
+    usage_error(cli, "unknown --variant '" + vname +
+                         "' (use base, opt1, opt2, opt3, opt4, opt5 or opt6)");
+  }
+  const util::u64 serve_window_us = u64_option(cli, "serve-window");
+  const util::u64 serve_batch = u64_option(cli, "serve-batch");
+  const util::u64 slo_us = u64_option(cli, "slo-us");
+  const util::u64 hb_interval_s = u64_option(cli, "stats-interval");
+  const bool device_only = !cli.get("build-index").empty() || cli.get_flag("serve") ||
+                           cli.get_flag("stream") || !cli.get("index").empty();
+  if (device_only && opt.backend == cof::backend_kind::serial) {
+    usage_error(cli, "--build-index, --serve, --stream and --index need a device "
+                     "backend (O, G, S or U)");
+  }
+
+  // Repeated --query GUIDE[:MM] replaces the input file's query list — the
+  // serving shape the index exists for: one cached index, arbitrary guides.
+  std::vector<cof::query_spec> queries;
+  for (const std::string& spec : cli.get_multi("query")) {
+    std::string seq = spec;
+    unsigned long long mm = 5;
+    if (const auto colon = spec.rfind(':'); colon != std::string::npos) {
+      seq = spec.substr(0, colon);
+      if (!util::parse_u64(spec.substr(colon + 1), mm) || mm > 0xFFFF) {
+        usage_error(cli, "--query wants GUIDE[:MM] with MM in 0..65535, got '" +
+                             spec + "'");
+      }
+    }
+    queries.push_back({seq, static_cast<util::u16>(mm)});
+  }
+
+  auto cfg = cof::read_input_file(cli.get_positional("input"));
+  if (!queries.empty()) cfg.queries = std::move(queries);
 
   prof::profiler profiler;
   if (cli.get_flag("profile")) {
@@ -165,8 +205,6 @@ int main(int argc, char** argv) {
   // persist the result, exit. Later runs pass the file via --index.
   if (!cli.get("build-index").empty()) {
     const std::string ipath = cli.get("build-index");
-    COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--build-index needs a device backend (O, G, S or U)");
     util::stopwatch bsw;
     try {
       // Standalone build runs outside the engines, so arm the fault
@@ -195,8 +233,6 @@ int main(int argc, char** argv) {
   // requests from stdin: one `GUIDE[:MM]` per line, records for each
   // request written as soon as its future resolves, in submission order.
   if (cli.get_flag("serve")) {
-    COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--serve needs a device backend (O, G, S or U)");
     obs::run_scope obs_guard(!opt.trace_out.empty() ||
                              !opt.metrics_json.empty());
     fault::scope fault_guard(opt.faults);
@@ -219,9 +255,9 @@ int main(int argc, char** argv) {
       }
       cof::serve::server_options sopt;
       sopt.engine = opt;
-      sopt.batch_window_us = cli.get_u64("serve-window");
-      sopt.max_batch = cli.get_u64("serve-batch");
-      sopt.slo_us = cli.get_u64("slo-us");
+      sopt.batch_window_us = serve_window_us;
+      sopt.max_batch = serve_batch;
+      sopt.slo_us = slo_us;
       cof::serve::server srv(idx, sopt);
       std::fprintf(stderr,
                    "serve: %zu chunks resident-capable, pattern %s; reading "
@@ -232,7 +268,6 @@ int main(int argc, char** argv) {
       // snapshot as JSON lines (to --stats-out, else stderr) until the
       // input loop finishes. 100 ms polling keeps shutdown prompt without a
       // condition variable.
-      const util::u64 hb_interval_s = cli.get_u64("stats-interval");
       const std::string hb_path = cli.get("stats-out");
       std::atomic<bool> hb_stop{false};
       std::thread hb_thread;
@@ -375,8 +410,6 @@ int main(int argc, char** argv) {
   // --index routes through the streaming engine's index/query split even
   // without --stream: warm runs never decode FASTA or launch the finder.
   if (cli.get_flag("stream") || !opt.index_path.empty()) {
-    COF_CHECK_MSG(opt.backend != cof::backend_kind::serial,
-                  "--stream needs a device backend (O, G, S or U)");
     // Unrecoverable failures (exhausted fault retries, stalled queues)
     // surface as exceptions with the failing site in the message; report
     // them as a clean fatal error instead of std::terminate.

@@ -193,6 +193,52 @@ __kernel void finder_mask(__global char* __restrict chr,
   }
 }
 
+/* opt6's finder: finder_mask's arguments plus the chunk's 2-bit packed twin
+ * (the comparer_opt6 layout) appended. Per work-item the body is
+ * finder_mask's; the runtime may instead run a whole work-group row
+ * word-parallel over the packed words (32 start positions per ulong per
+ * pattern base), with the same hits. */
+__kernel void finder_opt6(__global char* __restrict chr,
+                          __constant unsigned short* pat_mask,
+                          __constant int* pat_index, unsigned int chrsize,
+                          unsigned int plen, __global unsigned int* __restrict loci,
+                          __global char* __restrict flag,
+                          __global unsigned int* __restrict entrycount,
+                          unsigned int entry_capacity,
+                          __local unsigned short* l_pat_mask,
+                          __local int* l_pat_index,
+                          __global ulong* __restrict chr_packed2,
+                          __global ulong* __restrict chr_amb2) {
+  unsigned int i = get_global_id(0);
+  unsigned int li = i - get_group_id(0) * get_local_size(0);
+  if (li == 0) {
+    for (unsigned int k = 0; k < plen * 2; k++) {
+      l_pat_mask[k] = pat_mask[k];
+      l_pat_index[k] = pat_index[k];
+    }
+  }
+  barrier(CLK_LOCAL_MEM_FENCE);
+  if (i >= chrsize) return;
+  int fw = 1, rc = 1;
+  for (unsigned int j = 0; j < plen; j++) {
+    int k = l_pat_index[j];
+    if (k == -1) break;
+    if ((l_pat_mask[k] >> nibble(chr[i + k])) & 1u) { fw = 0; break; }
+  }
+  for (unsigned int j = 0; j < plen; j++) {
+    int k = l_pat_index[plen + j];
+    if (k == -1) break;
+    if ((l_pat_mask[plen + k] >> nibble(chr[i + k])) & 1u) { rc = 0; break; }
+  }
+  if (fw || rc) {
+    unsigned int old = atomic_inc(entrycount);
+    if (old < entry_capacity) {
+      loci[old] = i;
+      flag[old] = (fw && rc) ? 0 : (fw ? 1 : 2);
+    }
+  }
+}
+
 __kernel void comparer_opt5(unsigned int locicnts, __global char* __restrict chr,
                             __global unsigned int* __restrict loci,
                             __constant unsigned short* comp_mask,
@@ -506,9 +552,9 @@ void finder_native(const oclsim::arg_view& a, xpu::xitem& it) {
   finder_kernel<P>(it, fa);
 }
 
-template <class P>
-void finder_mask_native(const oclsim::arg_view& a, xpu::xitem& it) {
-  finder_args fa;
+/// finder_mask's global/scalar arguments (0..8), which finder_opt6 shares;
+/// the local args (9/10) resolve only inside a kernel item context.
+void finder_mask_unpack(const oclsim::arg_view& a, finder_args& fa) {
   fa.chr = a.global<const char>(0);
   fa.pat_mask = a.global<const u16>(1);
   fa.pat_index = a.global<const i32>(2);
@@ -518,9 +564,24 @@ void finder_mask_native(const oclsim::arg_view& a, xpu::xitem& it) {
   fa.flag = a.global<char>(6);
   fa.entrycount = a.global<u32>(7);
   fa.entry_capacity = a.scalar<u32>(8);
+}
+
+template <class P>
+void finder_mask_native(const oclsim::arg_view& a, xpu::xitem& it) {
+  finder_args fa;
+  finder_mask_unpack(a, fa);
   fa.l_pat_mask = a.local<u16>(9);
   fa.l_pat_index = a.local<i32>(10);
   finder_kernel_mask<P>(it, fa);
+}
+
+/// finder_opt6's lane-batched row body (executor lane dispatch, profiling
+/// off only): the word-parallel scan over the packed twin (args 11/12).
+void finder_opt6_lanes(const oclsim::arg_view& a, usize first, usize nlanes) {
+  finder_args fa;
+  finder_mask_unpack(a, fa);
+  finder_swar_lanes(fa, a.global<const u64>(11), a.global<const u64>(12), first,
+                    nlanes);
 }
 
 template <class P>
@@ -574,6 +635,13 @@ const std::vector<oclsim::arg_kind> kFinderSig = {
     oclsim::arg_kind::mem,    oclsim::arg_kind::mem,    oclsim::arg_kind::scalar,
     oclsim::arg_kind::local,  oclsim::arg_kind::local,
 };
+
+const std::vector<oclsim::arg_kind> kFinderOpt6Sig = [] {
+  auto sig = kFinderSig;
+  sig.push_back(oclsim::arg_kind::mem);  // chr_packed2
+  sig.push_back(oclsim::arg_kind::mem);  // chr_amb2
+  return sig;
+}();
 
 const std::vector<oclsim::arg_kind> kComparerSig = {
     oclsim::arg_kind::scalar, oclsim::arg_kind::mem,    oclsim::arg_kind::mem,
@@ -718,6 +786,10 @@ const bool kKernelsRegistered = [] {
   oclsim::register_kernel({"finder_mask", kFinderSig, true,
                            &finder_mask_native<direct_mem>,
                            &finder_mask_native<counting_mem>, true});
+  oclsim::register_kernel({"finder_opt6", kFinderOpt6Sig, true,
+                           &finder_mask_native<direct_mem>,
+                           &finder_mask_native<counting_mem>, true,
+                           &finder_opt6_lanes});
   oclsim::register_kernel({"comparer", kComparerSig, true,
                            &comparer_native<comparer_variant::base, direct_mem>,
                            &comparer_native<comparer_variant::base, counting_mem>,
@@ -784,9 +856,9 @@ class opencl_pipeline final : public device_pipeline {
     program_ = clCreateProgramWithSource(ctx_, 1, &src, nullptr, &err);
     COF_CL_CHECK(err);
     COF_CL_CHECK(clBuildProgram(program_, 1, &device_, "-O3", nullptr, nullptr));
-    // Step 8: kernel objects. opt5 pairs the comparer with the bitmask-LUT
-    // finder (the pattern chars never reach the device at all).
-    finder_k_ = clCreateKernel(program_, use_mask() ? "finder_mask" : "finder", &err);
+    // Step 8: kernel objects. opt5 and opt6 pair the comparer with the
+    // bitmask-LUT finder (the pattern chars never reach the device at all).
+    finder_k_ = clCreateKernel(program_, finder_kernel_name(), &err);
     COF_CL_CHECK(err);
     comparer_k_ = clCreateKernel(program_, comparer_kernel_name(), &err);
     COF_CL_CHECK(err);
@@ -893,6 +965,10 @@ class opencl_pipeline final : public device_pipeline {
     COF_CL_CHECK(clSetKernelArg(finder_k_, 8, sizeof(u32), &loci_cap));
     COF_CL_CHECK(clSetKernelArg(finder_k_, 9, pat_bytes, nullptr));
     COF_CL_CHECK(clSetKernelArg(finder_k_, 10, pat.index.size() * sizeof(i32), nullptr));
+    if (opt_.variant == comparer_variant::opt6) {
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 11, sizeof(cl_mem), &chr2_));
+      COF_CL_CHECK(clSetKernelArg(finder_k_, 12, sizeof(cl_mem), &amb2_));
+    }
 
     locicnt_ = enqueue_and_count(finder_k_, chrsize, "finder");
     detail::check_entry_capacity("finder", locicnt_, loci_cap_);
@@ -1334,6 +1410,12 @@ class opencl_pipeline final : public device_pipeline {
   // opt5 and opt6 both pair with the bitmask-LUT finder (the pattern chars
   // never reach the device; opt6's ambiguity fallback reuses the same LUTs).
   bool use_mask() const { return comparer_variant_uses_mask(opt_.variant); }
+
+  /// opt6's finder also takes the packed twin, for its word-parallel rows.
+  const char* finder_kernel_name() const {
+    if (opt_.variant == comparer_variant::opt6) return "finder_opt6";
+    return use_mask() ? "finder_mask" : "finder";
+  }
 
   /// Entry-allocation size for a worst-case demand, honouring the
   /// max_entries cap (0 = worst case, which cannot overflow).

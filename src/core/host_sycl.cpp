@@ -41,8 +41,8 @@ class sycl_pipeline final : public device_pipeline {
     metrics_.h2d_bytes += chunk_len_;
     if (opt_.variant == comparer_variant::opt6) {
       // opt6 keeps a 2-bit packed twin of the chunk resident (plus the
-      // ambiguity flags) for the SWAR comparer; the char chunk stays for the
-      // finder and the ambiguous-base fallback.
+      // ambiguity flags) for the SWAR finder row and comparer; the char chunk
+      // stays for the per-item finder and the ambiguous-base fallback.
       const swar_ref packed = swar_pack(seq);
       chr2_buf_.emplace(packed.packed2.data(), sycl::range<1>(packed.packed2.size()));
       amb2_buf_.emplace(packed.amb2.data(), sycl::range<1>(packed.amb2.size()));
@@ -205,28 +205,43 @@ class sycl_pipeline final : public device_pipeline {
            sycl::range<1>(pat.mask.size()), cgh);
        const u32 plen = pat.plen;
        const usize loci_cap = loci_cap_;
-       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
-                        [=](sycl::nd_item<1> item) {
-                          finder_args a;
-                          a.chr = chr.get_pointer();
-                          a.pat = patc.get_pointer();
-                          a.pat_index = pidx.get_pointer();
-                          a.pat_mask = pmask.get_pointer();
-                          a.chrsize = chrsize;
-                          a.plen = plen;
-                          a.loci = loci.get_pointer();
-                          a.flag = flag.get_pointer();
-                          a.entrycount = cnt.get_pointer();
-                          a.entry_capacity = static_cast<u32>(loci_cap);
-                          a.l_pat = l_pat.get_pointer();
-                          a.l_pat_index = l_idx.get_pointer();
-                          a.l_pat_mask = l_mask.get_pointer();
-                          if (use_mask) {
-                            finder_kernel_mask<P>(item, a);
-                          } else {
-                            finder_kernel<P>(item, a);
-                          }
-                        });
+       const auto fill_args = [=](finder_args& a) {
+         a.chr = chr.get_pointer();
+         a.pat = patc.get_pointer();
+         a.pat_index = pidx.get_pointer();
+         a.pat_mask = pmask.get_pointer();
+         a.chrsize = chrsize;
+         a.plen = plen;
+         a.loci = loci.get_pointer();
+         a.flag = flag.get_pointer();
+         a.entrycount = cnt.get_pointer();
+         a.entry_capacity = static_cast<u32>(loci_cap);
+       };
+       const auto kernel = [=](sycl::nd_item<1> item) {
+         finder_args a;
+         fill_args(a);
+         a.l_pat = l_pat.get_pointer();
+         a.l_pat_index = l_idx.get_pointer();
+         a.l_pat_mask = l_mask.get_pointer();
+         if (use_mask) {
+           finder_kernel_mask<P>(item, a);
+         } else {
+           finder_kernel<P>(item, a);
+         }
+       };
+       const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
+       if (opt_.variant == comparer_variant::opt6 && !opt_.counting) {
+         // opt6 rows scan the packed twin word-parallel (finder_swar_lanes).
+         auto chr2 = chr2_buf_->get_access<sycl::sycl_read>(cgh);
+         auto amb2 = amb2_buf_->get_access<sycl::sycl_read>(cgh);
+         cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
+           finder_args a;
+           fill_args(a);
+           finder_swar_lanes(a, chr2.get_pointer(), amb2.get_pointer(), first, nlanes);
+         });
+       } else {
+         cgh.parallel_for(ndr, kernel);
+       }
      }).wait();
     const auto stats = q_.cof_last_launch();
     metrics_.kernel_nanos += stats.wall_nanos;

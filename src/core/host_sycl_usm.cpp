@@ -46,7 +46,8 @@ class sycl_usm_pipeline final : public device_pipeline {
     metrics_.h2d_bytes += chunk_len_;
     if (opt_.variant == comparer_variant::opt6) {
       // opt6: device-resident 2-bit packed twin + ambiguity flags for the
-      // SWAR comparer (the char chunk stays for the finder and fallback).
+      // SWAR finder row and comparer (the char chunk stays for the per-item
+      // finder and the fallback).
       const swar_ref packed = swar_pack(seq);
       chr2_ = sycl::malloc_device<util::u64>(packed.packed2.size(), q_);
       amb2_ = sycl::malloc_device<util::u64>(packed.amb2.size(), q_);
@@ -190,40 +191,45 @@ class sycl_usm_pipeline final : public device_pipeline {
     zero_count(count_);
 
     detail::kernel_record_scope rec(opt_, "finder");
-    const char* chr = chr_;
-    u32* loci = loci_;
-    char* flag = flag_;
-    u32* count = count_;
-    const u32 plen = pat.plen;
-    const u32 loci_cap = static_cast<u32>(loci_cap_);
+    finder_args base;
+    base.chr = chr_;
+    base.pat = patd;
+    base.pat_index = idxd;
+    base.pat_mask = maskd;
+    base.chrsize = chrsize;
+    base.plen = pat.plen;
+    base.loci = loci_;
+    base.flag = flag_;
+    base.entrycount = count_;
+    base.entry_capacity = static_cast<u32>(loci_cap_);
+    const util::u64* chr2 = chr2_;
+    const util::u64* amb2 = amb2_;
     q_.submit([&](sycl::handler& cgh) {
        cgh.cof_set_name("finder");
        if (!opt_.counting) cgh.cof_hint_single_leading_barrier();
        sycl::local_accessor<char, 1> l_pat(sycl::range<1>(pat.device_chars()), cgh);
        sycl::local_accessor<i32, 1> l_idx(sycl::range<1>(pat.index.size()), cgh);
        sycl::local_accessor<u16, 1> l_mask(sycl::range<1>(pat.mask.size()), cgh);
-       cgh.parallel_for(sycl::nd_range<1>(sycl::range<1>(gws), sycl::range<1>(lws)),
-                        [=](sycl::nd_item<1> item) {
-                          finder_args a;
-                          a.chr = chr;
-                          a.pat = patd;
-                          a.pat_index = idxd;
-                          a.pat_mask = maskd;
-                          a.chrsize = chrsize;
-                          a.plen = plen;
-                          a.loci = loci;
-                          a.flag = flag;
-                          a.entrycount = count;
-                          a.entry_capacity = loci_cap;
-                          a.l_pat = l_pat.get_pointer();
-                          a.l_pat_index = l_idx.get_pointer();
-                          a.l_pat_mask = l_mask.get_pointer();
-                          if (use_mask) {
-                            finder_kernel_mask<P>(item, a);
-                          } else {
-                            finder_kernel<P>(item, a);
-                          }
-                        });
+       const auto kernel = [=](sycl::nd_item<1> item) {
+         finder_args a = base;
+         a.l_pat = l_pat.get_pointer();
+         a.l_pat_index = l_idx.get_pointer();
+         a.l_pat_mask = l_mask.get_pointer();
+         if (use_mask) {
+           finder_kernel_mask<P>(item, a);
+         } else {
+           finder_kernel<P>(item, a);
+         }
+       };
+       const sycl::nd_range<1> ndr{sycl::range<1>(gws), sycl::range<1>(lws)};
+       if (opt_.variant == comparer_variant::opt6 && !opt_.counting) {
+         // opt6 rows scan the packed twin word-parallel (finder_swar_lanes).
+         cgh.cof_parallel_for_lanes(ndr, kernel, [=](size_t first, size_t nlanes) {
+           finder_swar_lanes(base, chr2, amb2, first, nlanes);
+         });
+       } else {
+         cgh.parallel_for(ndr, kernel);
+       }
      }).wait();
     const auto stats = q_.cof_last_launch();
     metrics_.kernel_nanos += stats.wall_nanos;

@@ -22,6 +22,13 @@
 // work-group row; on AVX2 hosts that body processes four work-items per
 // instruction stream (kernels_swar.cpp), with a scalar per-lane loop as the
 // portable fallback.
+//
+// opt6's finder keeps the per-item body of the bitmask-LUT finder
+// (finder_kernel_mask, the counted path) and adds a lane-batched row body
+// over the same packed words (finder_swar_lanes): one SWAR evaluation tests
+// a pattern position at 32 start positions, so a row of a work-group costs
+// a few word operations per PAM base instead of one early-exit loop per
+// work-item.
 #pragma once
 
 #include <string_view>
@@ -56,7 +63,9 @@ struct swar_ref {
   usize bases = 0;
 };
 
-/// Pack an upper-case IUPAC sequence (kernels_swar.cpp).
+/// Pack an upper-case IUPAC sequence (kernels_swar.cpp): table-driven and
+/// branch-free, 32 bases per word. Every byte other than 'A', 'C', 'G' and
+/// 'T' sets its ambiguity bit and leaves a zero code.
 swar_ref swar_pack(std::string_view seq);
 
 // ---------------------------------------------------------------------------
@@ -254,6 +263,25 @@ inline void comparer_swar_lanes(const comparer_swar_args& a, usize first,
     detail::swar_item_body<direct_mem::item>(p, a, first + l);
   }
 }
+
+// ---------------------------------------------------------------------------
+// finder lane row
+// ---------------------------------------------------------------------------
+
+/// opt6 finder, lane-batched row body (direct memory policy only): tests the
+/// start positions [first, first+nlanes) ∩ [0, chrsize) against the pattern
+/// and appends the hits exactly as finder_kernel_mask would, up to order.
+/// For each 32-position word and each strand, every non-N pattern position
+/// k contributes the mismatch lanes of the packed window shifted by k (the
+/// comparer's eq/deny SWAR, deny bits from the pattern's opt5 LUT);
+/// ambiguous reference bases take the exact LUT test on the raw chars. Only
+/// positions the row owns are ever read as chars. Hits leave in ascending
+/// position order through one counter fetch_add per block of words; the
+/// counter still advances past entry_capacity, so overflow detection is
+/// unchanged. Reads `a.pat_mask` / `a.pat_index` from their global arrays
+/// (no local memory, no barrier).
+void finder_swar_lanes(const finder_args& a, const u64* chr_packed2,
+                       const u64* chr_amb2, usize first, usize nlanes);
 
 // ---------------------------------------------------------------------------
 // batched multi-query kernel

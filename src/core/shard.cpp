@@ -10,13 +10,10 @@ const char* shard_policy_name(shard_policy p) {
   return p == shard_policy::round_robin ? "round-robin" : "least-loaded";
 }
 
-shard_policy parse_shard_policy(std::string_view name) {
+std::optional<shard_policy> parse_shard_policy(std::string_view name) {
   if (name == "round-robin" || name == "rr") return shard_policy::round_robin;
-  if (name == "least-loaded" || name == "ll") {
-    return shard_policy::least_loaded;
-  }
-  util::die("unknown shard policy (round-robin|least-loaded): " +
-            std::string(name));
+  if (name == "least-loaded" || name == "ll") return shard_policy::least_loaded;
+  return std::nullopt;
 }
 
 }  // namespace cof

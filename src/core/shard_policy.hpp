@@ -3,6 +3,7 @@
 // device machinery into every engine.hpp includer.
 #pragma once
 
+#include <optional>
 #include <string_view>
 
 namespace cof {
@@ -13,8 +14,9 @@ enum class shard_policy {
 };
 
 const char* shard_policy_name(shard_policy p);
-/// Parse "round-robin"/"rr" or "least-loaded"/"ll". Dies on anything else —
-/// a mistyped policy must not silently run round-robin.
-shard_policy parse_shard_policy(std::string_view name);
+/// Parse "round-robin"/"rr" or "least-loaded"/"ll"; nullopt on anything
+/// else — a mistyped policy must not silently run round-robin, and the
+/// caller reports it.
+std::optional<shard_policy> parse_shard_policy(std::string_view name);
 
 }  // namespace cof

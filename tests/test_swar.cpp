@@ -1,11 +1,14 @@
-// opt6 SWAR comparer tests: exhaustive IUPAC x mismatch-count equivalence
-// against opt5, ragged-tail fuzz across pattern lengths, both dispatch
-// paths (AVX2 lanes and the forced-scalar fallback), and engine-level
-// byte-identity of opt6 output across all four backends and queue counts.
+// opt6 SWAR tests: exhaustive IUPAC x mismatch-count equivalence of the
+// comparer against opt5, ragged-tail fuzz across pattern lengths, both
+// dispatch paths (AVX2 lanes and the forced-scalar fallback), engine-level
+// byte-identity of opt6 output across all backends and queue counts, the
+// finder's word-parallel lane row against the per-item finder and the
+// serial reference, and the table-driven pack over every byte value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "core/kernels.hpp"
 #include "core/kernels_swar.hpp"
 #include "core/pattern.hpp"
+#include "core/serial_ref.hpp"
 #include "genome/synth.hpp"
 #include "util/cpufeat.hpp"
 #include "util/rng.hpp"
@@ -453,6 +457,324 @@ TEST(SwarEngine, CountingRunMatchesAndCountsSwarOps) {
     swar_ops += prof.events[prof::ev::swar_op];
   }
   EXPECT_GT(swar_ops, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// swar_pack: table-driven, branch-free, same words as a per-char pack.
+// ---------------------------------------------------------------------------
+
+/// Per-char reference pack: the layout swar_ref documents, one base at a
+/// time.
+swar_ref reference_pack(std::string_view seq) {
+  swar_ref r;
+  r.bases = seq.size();
+  r.packed2.assign((seq.size() + 31) / 32 + 2, 0);
+  r.amb2.assign(r.packed2.size(), 0);
+  for (usize i = 0; i < seq.size(); ++i) {
+    const usize w = i / 32;
+    const u32 bit = 2 * static_cast<u32>(i % 32);
+    const usize code = std::string_view("ACGT").find(seq[i]);
+    if (code == std::string_view::npos) {
+      r.amb2[w] |= util::u64{1} << bit;
+    } else {
+      r.packed2[w] |= static_cast<util::u64>(code) << bit;
+    }
+  }
+  return r;
+}
+
+void expect_same_pack(std::string_view seq) {
+  const swar_ref got = swar_pack(seq);
+  const swar_ref want = reference_pack(seq);
+  EXPECT_EQ(got.bases, want.bases);
+  EXPECT_EQ(got.packed2, want.packed2);
+  EXPECT_EQ(got.amb2, want.amb2);
+}
+
+// Every byte value at every lane of a word, in full words and in every
+// ragged tail length.
+TEST(SwarPack, EveryByteValueMatchesPerCharPack) {
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    for (usize len = 1; len <= 70; ++len) {
+      expect_same_pack(std::string(len, c));
+      std::string mixed(len, 'G');
+      mixed[len / 2] = c;
+      mixed[len - 1] = c;
+      expect_same_pack(mixed);
+    }
+  }
+  // All 256 values in one sequence, at shifting offsets.
+  std::string all;
+  for (int v = 0; v < 256; ++v) all += static_cast<char>(v);
+  for (usize off = 0; off < 33; ++off) {
+    expect_same_pack(std::string(off, 'T') + all);
+  }
+  expect_same_pack("");
+}
+
+// ---------------------------------------------------------------------------
+// opt6 finder: the word-parallel lane row against the per-item finder and
+// the serial reference.
+// ---------------------------------------------------------------------------
+
+using site_set = std::vector<std::pair<u32, char>>;  // (locus, flag), sorted
+
+site_set to_sites(const std::vector<u32>& loci, const std::vector<char>& flags,
+                  usize n) {
+  site_set s;
+  for (usize i = 0; i < n; ++i) s.emplace_back(loci[i], flags[i]);
+  std::sort(s.begin(), s.end());
+  return s;
+}
+
+/// The serial reference's finder hits: an all-N query at threshold 0 has a
+/// record on exactly the strands where the pattern matches.
+site_set serial_sites(const std::string& chunk, const std::string& pattern) {
+  genome::genome_t g;
+  g.chroms.push_back({"chunk", chunk});
+  const auto recs =
+      serial_search(pattern, {{std::string(pattern.size(), 'N'), 0}}, g);
+  std::map<u32, int> strands;  // bit 0: '+', bit 1: '-'
+  for (const auto& r : recs) {
+    strands[static_cast<u32>(r.position)] |= r.direction == '+' ? 1 : 2;
+  }
+  site_set s;
+  for (const auto& [pos, m] : strands) {
+    s.emplace_back(pos, static_cast<char>(m == 3 ? 0 : m));
+  }
+  return s;
+}
+
+/// A reference chunk that mixes runs of concrete bases, every IUPAC code
+/// and N-runs of up to 40 bases.
+std::string iupac_chunk(util::rng& rng, usize len) {
+  std::string s;
+  while (s.size() < len) {
+    const auto kind = rng.next_below(10);
+    if (kind == 0) {
+      s.append(1 + rng.next_below(40), 'N');
+    } else if (kind == 1) {
+      s += kIupac[rng.next_below(15)];
+    } else {
+      s += "ACGT"[rng.next_below(4)];
+    }
+  }
+  s.resize(len);
+  return s;
+}
+
+struct finder_run {
+  site_set sites;
+  u32 count = 0;  // the hit counter, which may exceed the capacity
+  xpu::launch_stats stats;
+};
+
+/// The opt6 finder launched as the facades launch it: per-item body
+/// finder_kernel_mask, lane row finder_swar_lanes, single leading barrier.
+finder_run kernel_finder(const std::string& chunk, const device_pattern& pat,
+                         usize wg, u32 capacity = ~u32{0}) {
+  finder_run out;
+  if (chunk.size() < pat.plen) return out;
+  const u32 chrsize = static_cast<u32>(chunk.size() - pat.plen + 1);
+  const usize cap = std::min<usize>(capacity, chrsize);
+  std::vector<u32> loci(cap, 0);
+  std::vector<char> flags(cap, 0);
+  const swar_ref sref = swar_pack(chunk);
+
+  xpu::launch_config cfg;
+  cfg.global[0] = util::round_up<usize>(chrsize, wg);
+  cfg.local[0] = wg;
+  const usize idx_off = util::round_up<usize>(pat.mask.size() * sizeof(u16), 8);
+  cfg.local_mem_bytes = idx_off + pat.index.size() * sizeof(i32) + 16;
+  cfg.uses_barrier = true;
+  cfg.single_leading_barrier = true;
+  finder_args a;
+  a.chr = chunk.data();
+  a.pat_index = pat.index_data();
+  a.pat_mask = pat.mask_data();
+  a.chrsize = chrsize;
+  a.plen = pat.plen;
+  a.loci = loci.data();
+  a.flag = flags.data();
+  a.entrycount = &out.count;
+  a.entry_capacity = static_cast<u32>(cap);
+  out.stats = dev().run_lanes(
+      cfg,
+      [&](xpu::xitem& it) {
+        finder_args ia = a;
+        char* base = it.local_mem_base();
+        ia.l_pat_mask = reinterpret_cast<u16*>(base);
+        ia.l_pat_index = reinterpret_cast<i32*>(base + idx_off);
+        finder_kernel_mask<direct_mem>(it, ia);
+      },
+      [&](const xpu::xitem& first, usize nlanes) {
+        finder_swar_lanes(a, sref.packed2.data(), sref.amb2.data(),
+                          first.get_global_id(0), nlanes);
+      });
+  out.sites = to_sites(loci, flags, std::min<usize>(out.count, cap));
+  return out;
+}
+
+/// The opt6 finder through a device facade (O, G or U).
+site_set facade_finder(backend_kind backend, const std::string& chunk,
+                       const device_pattern& pat, usize wg) {
+  auto pipe = make_pipeline(
+      {.backend = backend, .variant = comparer_variant::opt6, .wg_size = wg}, 0);
+  pipe->load_chunk(chunk);
+  const u32 n = pipe->run_finder(pat);
+  return to_sites(pipe->read_loci(), pipe->read_flags(), n);
+}
+
+const char* const kFinderPatterns[] = {
+    "NNNNNNNNNNNNNNNNNNNNNRG",            // SpCas9, PAM at the end
+    "TTTVNNNNNNNNNNNNNNNNNNNNNNN",        // Cas12a, PAM at the start
+    "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNGG",  // 33 bases: PAM across a word edge
+    "TTTVNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNRG",  // 64
+    "NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNN",  // all N
+};
+
+// Every pattern x chunk length plen-1..plen+33 x rows that are not
+// word-aligned (wg 48, 100): lane row == per-item == serial reference.
+TEST(SwarFinder, LaneRowMatchesPerItemAndSerialOnShortChunks) {
+  util::rng rng(1501);
+  for (const char* text : kFinderPatterns) {
+    const auto pat = make_pattern(text);
+    for (usize len = pat.plen - 1; len <= pat.plen + 33; ++len) {
+      const std::string chunk = iupac_chunk(rng, len);
+      const site_set want = serial_sites(chunk, text);
+      for (const usize wg : {48, 100}) {
+        const finder_run lanes = kernel_finder(chunk, pat, wg);
+        finder_run per_item;
+        {
+          scalar_guard guard(true);
+          per_item = kernel_finder(chunk, pat, wg);
+        }
+        EXPECT_EQ(lanes.sites, want) << text << " len=" << len << " wg=" << wg;
+        EXPECT_EQ(per_item.sites, want) << text << " len=" << len << " wg=" << wg;
+        if (len >= pat.plen) {
+          EXPECT_EQ(lanes.stats.lanes_dispatch, util::simd_lanes_enabled());
+          EXPECT_FALSE(per_item.stats.lanes_dispatch);
+        }
+      }
+    }
+  }
+}
+
+// Long chunks (many rows, many words per row) through the kernel launch.
+TEST(SwarFinder, LaneRowMatchesPerItemAndSerialOnLongChunks) {
+  util::rng rng(1502);
+  for (const char* text : kFinderPatterns) {
+    const auto pat = make_pattern(text);
+    const std::string chunk = iupac_chunk(rng, 3000 + rng.next_below(2000));
+    const site_set want = serial_sites(chunk, text);
+    ASSERT_FALSE(want.empty()) << text;
+    for (const usize wg : {48, 100, 256}) {
+      const finder_run lanes = kernel_finder(chunk, pat, wg);
+      EXPECT_EQ(lanes.sites, want) << text << " wg=" << wg;
+      EXPECT_EQ(lanes.count, want.size()) << text << " wg=" << wg;
+      EXPECT_EQ(lanes.stats.lanes_dispatch, util::simd_lanes_enabled());
+      scalar_guard guard(true);
+      const finder_run per_item = kernel_finder(chunk, pat, wg);
+      EXPECT_EQ(per_item.sites, want) << text << " wg=" << wg;
+      EXPECT_FALSE(per_item.stats.lanes_dispatch);
+    }
+  }
+}
+
+// The lane row as each device facade installs it (SYCL buffers, USM and the
+// OpenCL registry), against the per-item path and the serial reference.
+TEST(SwarFinder, EveryFacadeMatchesPerItemAndSerial) {
+  util::rng rng(1503);
+  for (const char* text : kFinderPatterns) {
+    const auto pat = make_pattern(text);
+    for (const usize len : {usize{pat.plen} - 1, usize{pat.plen} + 7, usize{4111}}) {
+      const std::string chunk = iupac_chunk(rng, len);
+      const site_set want = serial_sites(chunk, text);
+      for (const backend_kind backend :
+           {backend_kind::sycl, backend_kind::sycl_usm, backend_kind::opencl}) {
+        for (const usize wg : {48, 100}) {
+          EXPECT_EQ(facade_finder(backend, chunk, pat, wg), want)
+              << backend_name(backend) << " " << text << " len=" << len;
+          scalar_guard guard(true);
+          EXPECT_EQ(facade_finder(backend, chunk, pat, wg), want)
+              << "scalar " << backend_name(backend) << " " << text;
+        }
+      }
+    }
+  }
+}
+
+// Under a capacity below the hit count the counter still totals every hit,
+// exactly as the per-item path counts, and what fits is a subset of the
+// true hits.
+TEST(SwarFinder, CappedCounterMatchesPerItemCount) {
+  util::rng rng(1504);
+  const auto pat = make_pattern(kFinderPatterns[0]);
+  const std::string chunk = iupac_chunk(rng, 5000);
+  const site_set want = serial_sites(chunk, kFinderPatterns[0]);
+  ASSERT_GT(want.size(), 40u);
+  const u32 cap = static_cast<u32>(want.size() / 3);
+  for (const usize wg : {48, 100}) {
+    const finder_run lanes = kernel_finder(chunk, pat, wg, cap);
+    finder_run per_item;
+    {
+      scalar_guard guard(true);
+      per_item = kernel_finder(chunk, pat, wg, cap);
+    }
+    EXPECT_EQ(lanes.count, per_item.count);
+    EXPECT_EQ(lanes.count, want.size());
+    EXPECT_EQ(lanes.sites.size(), cap);
+    EXPECT_TRUE(std::includes(want.begin(), want.end(), lanes.sites.begin(),
+                              lanes.sites.end()));
+  }
+  // Through a facade the overflow surfaces with the full count.
+  for (const bool scalar : {false, true}) {
+    scalar_guard guard(scalar);
+    auto pipe = make_pipeline({.backend = backend_kind::sycl,
+                               .variant = comparer_variant::opt6,
+                               .wg_size = 100},
+                              cap);
+    pipe->load_chunk(chunk);
+    try {
+      (void)pipe->run_finder(pat);
+      ADD_FAILURE() << "capped finder did not report an overflow";
+    } catch (const entry_overflow_error& e) {
+      EXPECT_EQ(e.required(), want.size()) << "scalar=" << scalar;
+      EXPECT_EQ(e.capacity(), cap);
+    }
+  }
+}
+
+// The engine's grow/split recovery from an undersized cap gives the serial
+// records on every facade, with the lane row and with the per-item path.
+TEST(SwarFinder, CappedEngineRecoveryMatchesSerial) {
+  const fs::path dir =
+      fs::temp_directory_path() / ("cof_swar_cap_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  auto g = swar_genome(1505);
+  auto cfg = parse_input(example_input("<file>"));
+  const std::string guide = cfg.queries[0].seq.substr(0, 20) + "NGG";
+  genome::plant_sites(g, guide, cfg.pattern, 6, 1, 1506);
+  const auto file = (dir / "g.fa").string();
+  genome::write_fasta_file(file, g.chroms);
+  const auto want = serial_search(cfg.pattern, cfg.queries, g);
+  ASSERT_FALSE(want.empty());
+  for (const backend_kind backend :
+       {backend_kind::sycl, backend_kind::sycl_usm, backend_kind::opencl}) {
+    engine_options opt{.backend = backend,
+                       .variant = comparer_variant::opt6,
+                       .wg_size = 100,
+                       .max_chunk = 9000};
+    opt.max_entries = 3;
+    for (const bool scalar : {false, true}) {
+      scalar_guard guard(scalar);
+      const auto got = run_search_streaming(cfg, file, opt);
+      EXPECT_EQ(got.records, want) << backend_name(backend) << " scalar=" << scalar;
+      EXPECT_GE(got.metrics.recovery.recovered_overflows, 1u);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
